@@ -25,14 +25,26 @@ Implementation notes
 * **Redundant-sync elimination.**  A dependence edge is redundant when
   an alternative path (free edges plus other dependences) already orders
   the pair; removing all such edges at once yields the unique transitive
-  reduction of the DAG.  Reachability uses per-node bitsets in reverse
-  phase order.
+  reduction of the DAG.
+* **Chain-cover reachability.**  Phases are contention free and every
+  machine is a leaf, so a rank's sends (which all cross its uplink)
+  fall in distinct phases, and consecutive sends are joined by a graph
+  edge (a send-chain free edge, or the conflict dependence on the
+  uplink).  What a node reaches on one sender's chain is therefore a
+  suffix of that chain, stored as one position.  The index is an
+  ``M x N`` matrix of small integers (``M`` messages, ``N`` senders)
+  instead of an ``M x M`` closure, and both the reduction and
+  :func:`verify_sync_plan` read it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import SchedulingError
 from repro.obs.profiling import add_counters, pipeline_span
@@ -121,13 +133,10 @@ def build_sync_plan(
             oracle = PathOracle(schedule.topology)
         messages = schedule.all_messages()
         stats = SyncStats(num_messages=len(messages))
-        index: Dict[ScheduledMessage, int] = {
-            m: i for i, m in enumerate(messages)
-        }
 
         with pipeline_span("dependence_graph"):
-            deps = _conflict_dependences(schedule, oracle, index)
-            free = _program_order_edges(messages, index)
+            deps = _conflict_dependences(messages, oracle)
+            free = _program_order_edges(messages)
             add_counters(
                 graph_nodes=len(messages),
                 conflict_edges=len(deps),
@@ -135,14 +144,15 @@ def build_sync_plan(
             )
         stats.num_conflict_deps = len(deps)
 
-        needs_sync: List[Tuple[int, int]] = []
-        for a, b in deps:
-            if elide_program_order and _directly_free(
-                messages[a], messages[b]
-            ):
-                stats.num_program_order_free += 1
-            else:
-                needs_sync.append((a, b))
+        needs_sync = [
+            dep
+            for dep in deps
+            if not (
+                elide_program_order
+                and _directly_free(messages[dep[0]], messages[dep[1]])
+            )
+        ]
+        stats.num_program_order_free = len(deps) - len(needs_sync)
         stats.num_before_reduction = len(needs_sync)
 
         if remove_redundant and needs_sync:
@@ -150,8 +160,7 @@ def build_sync_plan(
                 kept = _transitive_reduction(
                     messages,
                     needs_sync,
-                    free if elide_program_order else [],
-                    index,
+                    free if elide_program_order else _edge_array([]),
                 )
                 add_counters(
                     syncs_before_reduction=len(needs_sync),
@@ -196,27 +205,42 @@ def split_sync_plan(
 
 
 # ----------------------------------------------------------------------
-def _conflict_dependences(
-    schedule: PhasedSchedule,
-    oracle: PathOracle,
-    index: Dict[ScheduledMessage, int],
-) -> List[Tuple[int, int]]:
-    """Deduplicated (earlier, later) pairs of consecutive users per edge."""
-    users: Dict[Edge, List[ScheduledMessage]] = {}
-    for sm in schedule.all_messages():
+def _edge_users(
+    messages: Sequence[ScheduledMessage], oracle: PathOracle
+) -> Dict[Edge, List[int]]:
+    """Indices of the messages crossing each directed edge.
+
+    *messages* must be in phase order, so each edge's users are too.
+    """
+    users: Dict[Edge, List[int]] = {}
+    for i, sm in enumerate(messages):
         for edge in oracle.path_edges(sm.src, sm.dst):
-            users.setdefault(edge, []).append(sm)
+            users.setdefault(edge, []).append(i)
+    return users
+
+
+def _phase_groups(
+    messages: Sequence[ScheduledMessage], indices: List[int]
+) -> List[List[int]]:
+    """*indices* (in phase order) split into runs of one phase each."""
+    return [list(g) for _, g in groupby(indices, key=lambda i: messages[i].phase)]
+
+
+def _conflict_dependences(
+    messages: Sequence[ScheduledMessage], oracle: PathOracle
+) -> List[Tuple[int, int]]:
+    """Deduplicated (earlier, later) index pairs of consecutive users per edge."""
     deps: Set[Tuple[int, int]] = set()
-    for edge, msgs in users.items():
-        msgs.sort(key=lambda m: m.phase)
-        for earlier, later in zip(msgs, msgs[1:]):
+    for edge, indices in _edge_users(messages, oracle).items():
+        for a, b in zip(indices, indices[1:]):
+            earlier, later = messages[a], messages[b]
             if earlier.phase == later.phase:
                 raise SchedulingError(
                     f"messages {earlier.message} and {later.message} share "
                     f"edge {edge} in phase {earlier.phase}; schedule is not "
                     "contention free"
                 )
-            deps.add((index[earlier], index[later]))
+            deps.add((a, b))
     return sorted(deps)
 
 
@@ -233,11 +257,11 @@ def _directly_free(m1: ScheduledMessage, m2: ScheduledMessage) -> bool:
     return m2.src in (m1.src, m1.dst)
 
 
-def _program_order_edges(
-    messages: Sequence[ScheduledMessage],
-    index: Dict[ScheduledMessage, int],
-) -> List[Tuple[int, int]]:
+def _program_order_edges(messages: Sequence[ScheduledMessage]) -> np.ndarray:
     """Sparse generators of the sender-anchored happens-before relation.
+
+    Returns the sorted ``(earlier, later)`` index pairs into *messages*
+    (which must be in phase order) as an ``(E, 2)`` array.
 
     What phased execution guarantees without control messages: a rank
     completes all of its phase-``p`` operations before *posting*
@@ -256,75 +280,121 @@ def _program_order_edges(
     knowledge that propagates to senders, so redundancy decisions made
     against it are sound for the generated programs.
     """
-    sends_by_rank: Dict[str, List[ScheduledMessage]] = {}
-    recvs_by_rank: Dict[str, List[ScheduledMessage]] = {}
-    for sm in messages:
-        sends_by_rank.setdefault(sm.src, []).append(sm)
-        recvs_by_rank.setdefault(sm.dst, []).append(sm)
+    sends_by_rank: Dict[str, List[int]] = {}
+    recvs_by_rank: Dict[str, List[int]] = {}
+    for i, sm in enumerate(messages):  # phase order
+        sends_by_rank.setdefault(sm.src, []).append(i)
+        recvs_by_rank.setdefault(sm.dst, []).append(i)
 
     edges: Set[Tuple[int, int]] = set()
     for rank, sends in sends_by_rank.items():
-        sends.sort(key=lambda m: m.phase)
         # group same-phase sends (posted together: mutually unordered)
-        groups: List[List[ScheduledMessage]] = []
-        for sm in sends:
-            if groups and groups[-1][0].phase == sm.phase:
-                groups[-1].append(sm)
-            else:
-                groups.append([sm])
+        groups = _phase_groups(messages, sends)
+        group_phases = [messages[g[0]].phase for g in groups]
         for g1, g2 in zip(groups, groups[1:]):
             for a in g1:
                 for b in g2:
-                    edges.add((index[a], index[b]))
+                    edges.add((a, b))
         # each receive chains into the first strictly-later send group
-        group_phases = [g[0].phase for g in groups]
         for recv in recvs_by_rank.get(rank, ()):
-            for phase, group in zip(group_phases, groups):
-                if phase > recv.phase:
-                    for b in group:
-                        edges.add((index[recv], index[b]))
-                    break
-    return sorted(edges)
+            k = bisect_right(group_phases, messages[recv].phase)
+            if k < len(groups):
+                for b in groups[k]:
+                    edges.add((recv, b))
+    return _edge_array(sorted(edges))
+
+
+class _ChainIndex:
+    """Chain-cover reachability index of a DAG over phase-ordered messages.
+
+    Message ``i`` is the ``pos[i]``-th send on sender chain ``chain[i]``,
+    and ``creach[v, c]`` is the lowest position on chain ``c`` that ``v``
+    reaches (``v`` included), or the dtype's maximum when it reaches
+    none.  This is exact as long as consecutive sends of each rank are
+    joined by an edge: what ``v`` reaches on a chain is then a suffix of
+    it, so ``v`` reaches ``b`` iff ``creach[v, chain[b]] <= pos[b]``.
+    The matrix takes ``M x N`` small integers for ``M`` messages and
+    ``N`` senders.
+
+    *messages* must be in phase order (as
+    :meth:`PhasedSchedule.all_messages` returns them); the edges are
+    ``(E, 2)`` integer arrays of ``(earlier, later)`` pairs.  Every edge
+    strictly increases the phase, so reverse index order is a
+    topological order.
+    """
+
+    def __init__(
+        self, messages: Sequence[ScheduledMessage], *edges: np.ndarray
+    ) -> None:
+        chain_of: Dict[str, int] = {}
+        last: List[ScheduledMessage] = []  # latest send per chain
+        counts: List[int] = []
+        self.chain: List[int] = []
+        self.pos: List[int] = []
+        for sm in messages:
+            c = chain_of.setdefault(sm.src, len(chain_of))
+            if c == len(counts):
+                counts.append(0)
+                last.append(sm)
+            elif last[c].phase == sm.phase:
+                raise SchedulingError(
+                    f"messages {last[c].message} and {sm.message} are both "
+                    f"sent in phase {sm.phase}; schedule is not contention free"
+                )
+            last[c] = sm
+            self.chain.append(c)
+            self.pos.append(counts[c])
+            counts[c] += 1
+
+        self.ptr, self.targets = _csr(len(messages), np.concatenate(edges))
+        fits = max(counts, default=0) < np.iinfo(np.int16).max
+        dtype = np.int16 if fits else np.int32
+        creach = np.full(
+            (len(messages), len(counts)), np.iinfo(dtype).max, dtype=dtype
+        )
+        for v in range(len(messages) - 1, -1, -1):
+            row = creach[v]
+            for s in self.successors(v):
+                np.minimum(row, creach[s], out=row)
+            row[self.chain[v]] = self.pos[v]
+        self.creach = creach
+
+    def successors(self, v: int) -> List[int]:
+        return self.targets[self.ptr[v]:self.ptr[v + 1]].tolist()
+
+    def reaches(self, v: int, b: int) -> bool:
+        """True when there is a path from *v* to *b* (or ``v == b``)."""
+        return bool(self.creach[v, self.chain[b]] <= self.pos[b])
+
+
+def _csr(n: int, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Successor lists of nodes ``0..n-1`` in CSR form ``(ptr, targets)``.
+
+    Node ``v``'s successors are ``targets[ptr[v]:ptr[v + 1]]``.
+    """
+    by_source = np.argsort(pairs[:, 0], kind="stable")
+    ptr = np.searchsorted(pairs[by_source, 0], np.arange(n + 1))
+    return ptr, pairs[by_source, 1]
+
+
+def _edge_array(pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """``(earlier, later)`` index pairs as an ``(E, 2)`` array."""
+    return np.array(pairs, dtype=np.int32).reshape(-1, 2)
 
 
 def _transitive_reduction(
     messages: Sequence[ScheduledMessage],
     deps: List[Tuple[int, int]],
-    free: List[Tuple[int, int]],
-    index: Dict[ScheduledMessage, int],
+    free: np.ndarray,
 ) -> List[Tuple[int, int]]:
     """Drop dependences with an alternative path (unique DAG reduction).
 
-    Reachability is computed once with per-node integer bitsets in
-    reverse phase order (every edge strictly increases the phase, so
-    phase order is a topological order).
+    ``(a, b)`` is redundant iff another successor of ``a`` reaches ``b``.
     """
-    n = len(messages)
-    succ: List[Set[int]] = [set() for _ in range(n)]
-    for a, b in deps:
-        succ[a].add(b)
-    for a, b in free:
-        succ[a].add(b)
-
-    order = sorted(range(n), key=lambda i: messages[i].phase)
-    reach: List[int] = [0] * n  # bitset of nodes reachable from i
-    for i in reversed(order):
-        acc = 0
-        for s in succ[i]:
-            acc |= (1 << s) | reach[s]
-        reach[i] = acc
-
+    reach = _ChainIndex(messages, _edge_array(deps), free)
     kept: List[Tuple[int, int]] = []
     for a, b in deps:
-        bit = 1 << b
-        redundant = False
-        for s in succ[a]:
-            if s == b:
-                continue
-            if (reach[s] | (1 << s)) & bit:
-                redundant = True
-                break
-        if not redundant:
+        if not any(s != b and reach.reaches(s, b) for s in reach.successors(a)):
             kept.append((a, b))
     return kept
 
@@ -333,39 +403,32 @@ def verify_sync_plan(plan: SyncPlan, oracle: Optional[PathOracle] = None) -> Non
     """Check that every conflicting cross-phase pair is ordered by the plan.
 
     Orderings may come from kept syncs or phased program order.  Raises
-    :class:`SchedulingError` on the first uncovered pair.  Used by tests
-    (it is O(N^2) in the number of messages).
+    :class:`SchedulingError` on the first uncovered pair, or when a rank
+    sends twice in one phase (such a schedule is not contention free and
+    :func:`build_sync_plan` rejects it too).  Two messages conflict when
+    they share a directed edge.  It suffices that each user of an edge
+    in one phase reaches each user in the edge's next used phase:
+    transitivity then orders every later user too.
     """
     schedule = plan.schedule
     if oracle is None:
         oracle = PathOracle(schedule.topology)
     messages = schedule.all_messages()
     index = {m: i for i, m in enumerate(messages)}
-    n = len(messages)
+    reach = _ChainIndex(
+        messages,
+        _program_order_edges(messages),
+        _edge_array([(index[s.after], index[s.before]) for s in plan.syncs]),
+    )
 
-    succ: List[Set[int]] = [set() for _ in range(n)]
-    for a, b in _program_order_edges(messages, index):
-        succ[a].add(b)
-    for s in plan.syncs:
-        succ[index[s.after]].add(index[s.before])
-
-    order = sorted(range(n), key=lambda i: messages[i].phase)
-    reach: List[int] = [0] * n
-    for i in reversed(order):
-        acc = 0
-        for s in succ[i]:
-            acc |= (1 << s) | reach[s]
-        reach[i] = acc
-
-    for a in range(n):
-        for b in range(n):
-            ma, mb = messages[a], messages[b]
-            if ma.phase >= mb.phase:
-                continue
-            if not oracle.messages_conflict(ma.message.as_tuple(), mb.message.as_tuple()):
-                continue
-            if not (reach[a] >> b) & 1:
-                raise SchedulingError(
-                    f"conflicting pair unordered by sync plan: {ma.message} "
-                    f"(phase {ma.phase}) vs {mb.message} (phase {mb.phase})"
-                )
+    for edge_users in _edge_users(messages, oracle).values():
+        groups = _phase_groups(messages, edge_users)
+        for earlier, later in zip(groups, groups[1:]):
+            for a in earlier:
+                for b in later:
+                    if not reach.reaches(a, b):
+                        ma, mb = messages[a], messages[b]
+                        raise SchedulingError(
+                            f"conflicting pair unordered by sync plan: {ma.message} "
+                            f"(phase {ma.phase}) vs {mb.message} (phase {mb.phase})"
+                        )

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import logging
+
 import pytest
 
 from repro.cli import main
@@ -403,16 +405,33 @@ class TestReportFamily:
         ) == 2
 
 
-class TestVerboseFlag:
-    def test_verbose_enables_repro_logging(self, tmp_path, capsys):
-        import logging
+@pytest.fixture
+def repro_logger():
+    """The ``repro`` logger, with its handlers, level and propagation
+    restored after the test.
 
+    ``-v`` attaches the CLI's stderr handler and cuts propagation; left
+    in place, later tests' ``caplog`` would see no ``repro`` records.
+    """
+    logger = logging.getLogger("repro")
+    saved = (logger.handlers[:], logger.level, logger.propagate)
+    yield logger
+    for handler in logger.handlers[:]:
+        logger.removeHandler(handler)
+    for handler in saved[0]:
+        logger.addHandler(handler)
+    logger.setLevel(saved[1])
+    logger.propagate = saved[2]
+
+
+class TestVerboseFlag:
+    def test_verbose_enables_repro_logging(self, tmp_path, capsys, repro_logger):
         directory = str(tmp_path / "led")
         assert main(
             ["simulate", "fig1", "--msize", "8KB",
              "--ledger-dir", directory, "-v"]
         ) == 0
-        root = logging.getLogger("repro")
+        root = repro_logger
         assert root.level == logging.INFO
         assert any(
             getattr(h, "_repro_cli", False) for h in root.handlers
@@ -747,12 +766,9 @@ class TestObservatory:
 
 
 class TestLoggingIdempotent:
-    def test_repeated_verbose_runs_log_once(self, capsys):
+    def test_repeated_verbose_runs_log_once(self, capsys, repro_logger):
         """Nested/repeated CLI invocations must not stack log handlers."""
-        import logging
-
-        root = logging.getLogger("repro")
-        saved = (root.handlers[:], root.propagate, root.level)
+        root = repro_logger
         # Drop handlers from earlier tests (bound to stale capture
         # streams) and simulate a host app that configured root logging.
         for handler in root.handlers[:]:
@@ -774,12 +790,6 @@ class TestLoggingIdempotent:
             assert err.count("once-only probe") == 1
         finally:
             logging.getLogger().removeHandler(probe_root)
-            for handler in root.handlers[:]:
-                root.removeHandler(handler)
-            for handler in saved[0]:
-                root.addHandler(handler)
-            root.propagate = saved[1]
-            root.level = saved[2]
 
 
 class TestPhasesCommand:
