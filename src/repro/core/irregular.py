@@ -31,6 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import SchedulingError, VerificationError
 from repro.core.pattern import Message
 from repro.core.schedule import MessageKind, PhasedSchedule
+from repro.core.verify import verify_contention_free
 from repro.topology.graph import Edge, Topology
 from repro.topology.paths import PathOracle
 
@@ -164,18 +165,7 @@ def verify_irregular(
 ) -> None:
     """Check contention freedom, completeness and size bookkeeping."""
     schedule = result.schedule
-    if oracle is None:
-        oracle = PathOracle(schedule.topology)
-    # contention freedom phase by phase
-    for p, phase in enumerate(schedule.phases()):
-        used: Dict[Edge, str] = {}
-        for sm in phase:
-            for edge in oracle.path_edges(sm.src, sm.dst):
-                if edge in used:
-                    raise VerificationError(
-                        f"phase {p}: {used[edge]} and {sm.message} contend"
-                    )
-                used[edge] = str(sm.message)
+    verify_contention_free(schedule, oracle)
     # completeness: exactly the positive-size pairs
     scheduled = {sm.message.as_tuple() for sm in schedule.all_messages()}
     if scheduled != set(result.sizes):

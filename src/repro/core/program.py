@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ProgramError
-from repro.obs.profiling import add_counters, pipeline_span
+from repro.obs.metrics_registry import add_counters, pipeline_span
 from repro.core.schedule import PhasedSchedule
 from repro.core.synchronization import SyncPlan
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.profiling import add_counters, pipeline_span
+from repro.obs.metrics_registry import add_counters, pipeline_span
 from repro.core.program import OpKind, Program, effective_round
 from repro.topology.graph import Edge, Topology
 from repro.topology.paths import PathOracle

@@ -31,8 +31,12 @@ from typing import (
 )
 
 from repro.errors import SchedulingError
-from repro.obs.metrics_registry import metric_inc, metric_observe
-from repro.obs.profiling import add_counters, pipeline_span
+from repro.obs.metrics_registry import (
+    add_counters,
+    metric_inc,
+    metric_observe,
+    pipeline_span,
+)
 from repro.core.assignment import AssignmentState, assign_messages
 from repro.core.assignment import (
     _step1_t0_to_others,

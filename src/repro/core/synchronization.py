@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import SchedulingError
-from repro.obs.profiling import add_counters, pipeline_span
+from repro.obs.metrics_registry import add_counters, pipeline_span
 from repro.core.schedule import PhasedSchedule, ScheduledMessage
 from repro.topology.graph import Edge
 from repro.topology.paths import PathOracle

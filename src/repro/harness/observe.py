@@ -2,10 +2,10 @@
 
 Every observation view — ``repro-aapc simulate``, ``trace``, ``explain``,
 ``phases``, ``gantt`` and ``top`` — needs the same instrumented
-pipeline: build the programs under the pipeline profiler, simulate them
-with the hot-path metrics registry active (and the flight recorder when
-telemetry is wanted), then attach the analyses the view reads (causal
-attribution, phase audit) to the telemetry.  :func:`observe` runs that
+pipeline: build and simulate the programs under one active metrics
+registry (pipeline spans plus hot-path instruments; the flight recorder
+too when telemetry is wanted), then attach the analyses the view reads
+(causal attribution, phase audit) to the telemetry.  :func:`observe` runs that
 pipeline once and returns an :class:`ObservedRun`; the views are
 renderers over it, and its telemetry (``--metrics-out`` /
 ``--trace-out``) and ledger entry are built the same way whichever view
@@ -24,14 +24,13 @@ from repro.errors import ReproError
 from repro.harness.metrics import summarize_links
 from repro.obs.attribution import AttributionReport, explain_telemetry
 from repro.obs.ledger import AlgorithmEntry
-from repro.obs.metrics_registry import MetricsRegistry
+from repro.obs.metrics_registry import MetricsRegistry, PipelineProfile
 from repro.obs.monitor import MonitorConfig
 from repro.obs.phase_audit import (
     DEFAULT_OCCUPANCY_TOLERANCE,
     PhaseAuditReport,
     audit_phases,
 )
-from repro.obs.profiling import PipelineProfile, PipelineProfiler
 from repro.obs.telemetry import RunTelemetry
 from repro.sim.executor import RunResult, run_programs
 from repro.sim.params import NetworkParams
@@ -170,18 +169,18 @@ def observe(
 ) -> ObservedRun:
     """Build, simulate and (with *telemetry*) analyze one algorithm.
 
-    One metrics registry covers the build *and* the simulated run, so
-    the run's ``stats`` snapshot holds both.  With *telemetry* the
-    flight recorder runs, the pipeline profile is attached to the
-    telemetry and :func:`analyze` adds the named *analyses*.  *trace*
-    alone records only the per-rank trace (``result.trace``).
+    One metrics registry covers the build *and* the simulated run: its
+    spans are the run's pipeline profile and its ``stats`` snapshot
+    holds the counters of both.  With *telemetry* the flight recorder
+    runs, the pipeline profile is attached to the telemetry and
+    :func:`analyze` adds the named *analyses* outside the registry's
+    activation.  *trace* alone records only the per-rank trace
+    (``result.trace``).
     """
-    profiler = PipelineProfiler()
     registry = MetricsRegistry()
     with registry.activate():
         t0 = time.perf_counter()
-        with profiler.activate():
-            programs = algorithm.build_programs(topology, msize)
+        programs = algorithm.build_programs(topology, msize)
         build_seconds = time.perf_counter() - t0
         t0 = time.perf_counter()
         result = run_programs(
@@ -198,7 +197,7 @@ def observe(
         msize=msize,
         programs=programs,
         result=result,
-        pipeline=profiler.report(),
+        pipeline=registry.report(),
         build_seconds=build_seconds,
         sim_seconds=sim_seconds,
     )

@@ -17,16 +17,16 @@ makes the offline pipeline that produces it measurable:
   for the offline pipeline spans.
 * :mod:`repro.obs.telemetry` — :class:`RunTelemetry`, the bundle the
   executor returns when telemetry is requested, with JSON export.
-* :mod:`repro.obs.profiling` — span/counter profiler of the offline
-  scheduling pipeline (rooting, phase partitioning, program emission,
-  dependence graph, transitive reduction).
 * :mod:`repro.obs.ledger` — persistent append-only run ledger
   (JSONL) plus the ``report regress`` comparison machinery.
-* :mod:`repro.obs.metrics_registry` — off-by-default hot-path
-  counter/gauge/histogram registry threaded through the engine, the
-  max-min solver, the MPI layer and the offline pipeline; exports
-  snapshots as schema-versioned ``stats`` dicts, JSONL streams and
-  Prometheus text exposition.
+* :mod:`repro.obs.metrics_registry` — the one off-by-default
+  instrumentation recorder: nested spans over the offline scheduling
+  pipeline (rooting, phase partitioning, dependence graph, transitive
+  reduction, program emission) plus counters/gauges/histograms threaded
+  through the engine, the max-min solver, the MPI layer and the offline
+  pipeline; exports spans as a pipeline profile and snapshots as
+  schema-versioned ``stats`` dicts, JSONL streams and Prometheus text
+  exposition.
 * :mod:`repro.obs.monitor` — live run monitor emitting periodic
   :class:`~repro.obs.metrics_registry.MetricsSnapshot` events
   (``repro-aapc top``, ``--stats-out``).
@@ -51,9 +51,9 @@ Run with ``run_programs(..., telemetry=True)`` or from the CLI:
 ``repro-aapc report list``.  See ``docs/observability.md``.
 
 The public names below are resolved lazily (PEP 562): the pipeline
-modules in :mod:`repro.core` import :mod:`repro.obs.profiling` without
-dragging the simulator-facing consumers (and hence :mod:`repro.sim`)
-into their import graph.
+modules in :mod:`repro.core` import :mod:`repro.obs.metrics_registry`
+without dragging the simulator-facing consumers (and hence
+:mod:`repro.sim`) into their import graph.
 """
 
 from typing import TYPE_CHECKING
@@ -78,6 +78,10 @@ _EXPORTS = {
     "active_registry": "repro.obs.metrics_registry",
     "metric_inc": "repro.obs.metrics_registry",
     "metric_observe": "repro.obs.metrics_registry",
+    "PipelineProfile": "repro.obs.metrics_registry",
+    "SpanRecord": "repro.obs.metrics_registry",
+    "pipeline_span": "repro.obs.metrics_registry",
+    "add_counters": "repro.obs.metrics_registry",
     "load_snapshots": "repro.obs.metrics_registry",
     "loads_snapshot": "repro.obs.metrics_registry",
     "validate_stats": "repro.obs.metrics_registry",
@@ -86,12 +90,6 @@ _EXPORTS = {
     "render_top_table": "repro.obs.monitor",
     "render_dashboard": "repro.obs.dashboard",
     "write_dashboard": "repro.obs.dashboard",
-    "PipelineProfiler": "repro.obs.profiling",
-    "PipelineProfile": "repro.obs.profiling",
-    "SpanRecord": "repro.obs.profiling",
-    "pipeline_span": "repro.obs.profiling",
-    "add_counters": "repro.obs.profiling",
-    "active_profiler": "repro.obs.profiling",
     "RunLedger": "repro.obs.ledger",
     "RunRecord": "repro.obs.ledger",
     "AlgorithmEntry": "repro.obs.ledger",
@@ -177,12 +175,16 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.obs.metrics_registry import (
         MetricsRegistry,
         MetricsSnapshot,
+        PipelineProfile,
         SnapshotWriter,
+        SpanRecord,
         active_registry,
+        add_counters,
         load_snapshots,
         loads_snapshot,
         metric_inc,
         metric_observe,
+        pipeline_span,
         validate_stats,
     )
     from repro.obs.monitor import MonitorConfig, RunMonitor, render_top_table
@@ -199,13 +201,5 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         SentinelReport,
         extract_series,
         run_sentinel,
-    )
-    from repro.obs.profiling import (
-        PipelineProfile,
-        PipelineProfiler,
-        SpanRecord,
-        active_profiler,
-        add_counters,
-        pipeline_span,
     )
     from repro.obs.telemetry import EngineStats, RunTelemetry

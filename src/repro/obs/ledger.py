@@ -5,7 +5,7 @@ schema-versioned JSON line to ``<ledger-dir>/ledger.jsonl`` recording
 what ran (git SHA, topology fingerprint, parameters), how it performed
 (per-algorithm completion times, telemetry summary) and how much the
 offline pipeline cost (scheduler runtime, span timings from
-:mod:`repro.obs.profiling`).  The ``repro-aapc report`` CLI family
+:mod:`repro.obs.metrics_registry`).  The ``repro-aapc report`` CLI family
 reads it back: ``list`` / ``show`` / ``compare`` / ``regress`` — the
 last one is the CI perf gate, exiting non-zero when completion time or
 scheduler runtime regresses past a threshold against a baseline.
@@ -102,7 +102,7 @@ class AlgorithmEntry:
     sim_wall_ms: Optional[float] = None
     #: Condensed flight-recorder summary (contention verdict etc.).
     telemetry: Optional[Dict[str, object]] = None
-    #: Pipeline profiler spans (``PipelineProfile.as_dicts()`` form).
+    #: Pipeline spans (``PipelineProfile.as_dicts()`` form).
     pipeline: Optional[List[Dict[str, object]]] = None
     #: Optimality-gap attribution (``AttributionReport.as_dict()``).
     attribution: Optional[Dict[str, object]] = None

@@ -1,28 +1,37 @@
-"""Hot-path metrics: a near-zero-overhead counter/gauge/histogram registry.
+"""The one instrumentation recorder: pipeline spans and hot-path metrics.
 
-ROADMAP's scaling work (vectorising the engine event loop and the
-max-min re-solve at 512-4096 ranks) needs to know what the hot loops
-*actually do* — events per heap pop, flows x links touched per re-solve,
-waterfill iterations, syncs posted/retired.  This module is the
-instrument: an **off-by-default** registry threaded through
-:mod:`repro.sim.engine`, :mod:`repro.sim.network`, :mod:`repro.sim.mpi`
-and the offline pipeline in :mod:`repro.core`.
+The paper's routine is an *offline* pipeline — root identification,
+extended-ring phase partitioning into ``|M0| * (|M| - |M0|)``
+contention-free phases, redundant-sync elimination and per-node program
+emission — followed by the simulated run.  :class:`MetricsRegistry`
+records both sides while it is active:
 
-Design rules (mirroring :mod:`repro.obs.profiling`):
+* **spans** — nested, monotonic-clock timeline records with attached
+  counters (phases produced, syncs before/after elimination, ...),
+  opened by the pipeline stages in :mod:`repro.core` through the
+  :func:`pipeline_span` / :func:`add_counters` hooks and reported as a
+  :class:`PipelineProfile` (ledger ``pipeline`` block, Perfetto
+  pipeline track);
+* **instruments** — counters, gauges and power-of-two histograms that
+  the simulator's hot loops (:mod:`repro.sim.engine`,
+  :mod:`repro.sim.network`, :mod:`repro.sim.mpi`) and the offline
+  layers (:func:`metric_inc` / :func:`metric_observe`) update, frozen
+  into a :class:`MetricsSnapshot` (ledger ``stats`` block).
 
-* Activation uses a module-level slot (the simulator is
-  single-threaded); nested activations restore the previous registry on
-  exit.  When no registry is active the hot components hold ``None``
-  handles and each instrumentation site costs one attribute load plus
-  one ``is None`` test — no allocation, no call.
+Design rules:
+
+* Activation uses one module-level slot (the pipeline and the
+  simulator are single-threaded); nested activations restore the
+  previous registry on exit.  With no registry active every hook costs
+  one module-global read plus one ``is None`` test — no allocation —
+  and :func:`pipeline_span` returns a shared no-op context manager.
 * Hot components (:class:`~repro.sim.engine.Engine`,
   :class:`~repro.sim.network.FlowNetwork`, :class:`~repro.sim.mpi.SimMPI`)
-  capture metric handles **at construction time** from
+  capture instrument handles **at construction time** from
   :func:`active_registry` and mutate ``handle.value`` directly — no dict
-  lookup per event.  The offline pipeline uses the :func:`metric_inc` /
-  :func:`metric_observe` module hooks instead (one global read each).
-* Histograms use power-of-two buckets (``int.bit_length``), timers the
-  monotonic ``time.perf_counter_ns`` clock.
+  lookup per event; they hold ``None`` handles when no registry is
+  active.
+* Histograms use power-of-two buckets (``int.bit_length``).
 
 Snapshots export three ways: a schema-versioned dict
 (:meth:`MetricsSnapshot.as_dict`, embedded in metrics JSON and ledger
@@ -34,15 +43,16 @@ Usage::
 
     registry = MetricsRegistry()
     with registry.activate():
+        programs = get_algorithm("generated").build_programs(topology, msize)
         result = run_programs(topology, programs, msize, params)
-    snap = registry.snapshot(sim_time=result.completion_time)
-    print(snap.to_prometheus())
+    print(registry.report().render())
+    print(registry.snapshot(sim_time=result.completion_time).to_prometheus())
 """
 
 from __future__ import annotations
 
-import io
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
@@ -56,6 +66,8 @@ from repro.errors import ReproError
 STATS_SCHEMA_VERSION = 1
 
 Number = Union[int, float]
+
+logger = logging.getLogger("repro.obs.metrics_registry")
 
 
 class Counter:
@@ -138,25 +150,117 @@ class Histogram:
         return out
 
 
-class _Timer:
-    """Context manager timing one block into a histogram (nanoseconds)."""
+@dataclass
+class SpanRecord:
+    """One completed (or still open) span of the pipeline."""
 
-    __slots__ = ("_hist", "_start")
+    name: str
+    #: Seconds since the registry's epoch (monotonic clock).
+    start: float
+    #: Span duration in seconds (0.0 while still open).
+    duration: float
+    #: Nesting depth: 0 for top-level spans.
+    depth: int
+    counters: Dict[str, Number] = field(default_factory=dict)
 
-    def __init__(self, hist: Histogram) -> None:
-        self._hist = hist
-        self._start = 0
+    @property
+    def duration_ms(self) -> float:
+        return self.duration * 1e3
 
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter_ns()
-        return self
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "name": self.name,
+            "start_ms": self.start * 1e3,
+            "duration_ms": self.duration_ms,
+            "depth": self.depth,
+            "counters": dict(self.counters),
+        }
+
+
+@dataclass
+class PipelineProfile:
+    """The spans one registry recorded, in the order they opened."""
+
+    spans: List[SpanRecord] = field(default_factory=list)
+
+    def span(self, name: str) -> Optional[SpanRecord]:
+        """The first span called *name* (None when absent)."""
+        for s in self.spans:
+            if s.name == name:
+                return s
+        return None
+
+    def total(self, name: str) -> float:
+        """Summed duration (seconds) of every span called *name*."""
+        return sum(s.duration for s in self.spans if s.name == name)
+
+    @property
+    def wall_time(self) -> float:
+        """Seconds from the first span's start to the last span's end."""
+        if not self.spans:
+            return 0.0
+        return max(s.start + s.duration for s in self.spans) - min(
+            s.start for s in self.spans
+        )
+
+    def as_dicts(self) -> List[Dict[str, object]]:
+        """JSON-serialisable span list (ledger / metrics report form)."""
+        return [s.as_dict() for s in self.spans]
+
+    def perfetto_events(self, *, pid: int, tid: int = 0) -> List[dict]:
+        """Trace Event ``X`` slices for the *pipeline* track.
+
+        Spans are properly nested in time, so complete events on a
+        single thread render as a nested flame chart.
+        """
+        return [
+            {
+                "name": s.name,
+                "cat": "pipeline",
+                "ph": "X",
+                "ts": s.start * 1e6,
+                "dur": s.duration * 1e6,
+                "pid": pid,
+                "tid": tid,
+                "args": dict(s.counters),
+            }
+            for s in self.spans
+        ]
+
+    def render(self) -> str:
+        """Terminal flame-style listing, one line per span."""
+        lines = []
+        for s in self.spans:
+            counters = ""
+            if s.counters:
+                counters = "  " + " ".join(
+                    f"{k}={v}" for k, v in sorted(s.counters.items())
+                )
+            lines.append(
+                f"{'  ' * s.depth}{s.name:<{32 - 2 * s.depth}s} "
+                f"{s.duration_ms:9.3f} ms{counters}"
+            )
+        return "\n".join(lines)
+
+
+class _Span:
+    """Context manager for one open span (returned by ``registry.span``)."""
+
+    __slots__ = ("_registry", "_record")
+
+    def __init__(self, registry: "MetricsRegistry", record: SpanRecord):
+        self._registry = registry
+        self._record = record
+
+    def __enter__(self) -> SpanRecord:
+        return self._record
 
     def __exit__(self, *exc) -> None:
-        self._hist.observe(time.perf_counter_ns() - self._start)
+        self._registry._close(self._record)
 
 
-class _NullTimer:
-    """Shared no-op timer: the registry-off fast path."""
+class _NullContext:
+    """Shared no-op context manager: the registry-off fast path."""
 
     __slots__ = ()
 
@@ -167,22 +271,24 @@ class _NullTimer:
         return None
 
 
-_NULL_TIMER = _NullTimer()
+_NULL_CONTEXT = _NullContext()
 
 
 class MetricsRegistry:
-    """Holds the live metric instruments for one (or more) runs.
+    """Records pipeline spans and metric instruments for one (or more) runs.
 
-    Not thread-safe — the simulator is single-threaded.  Instruments
-    are created on first use and persist across runs, so one registry
-    can aggregate a whole experiment sweep.
+    Not thread-safe — the pipeline and the simulator are
+    single-threaded.  Instruments are created on first use and persist
+    across runs, so one registry can aggregate a whole experiment sweep.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._epoch_ns = time.perf_counter_ns()
+        self._spans: List[SpanRecord] = []
+        self._stack: List[SpanRecord] = []
+        self._epoch = time.perf_counter()
 
     # ------------------------------------------------------------------
     # instrument factories (get-or-create)
@@ -205,16 +311,38 @@ class MetricsRegistry:
             h = self._histograms[name] = Histogram(name, help)
         return h
 
-    def timer(self, name: str, help: str = "") -> _Timer:
-        """A context manager recording the block's wall time (ns) into
-        the histogram called *name*."""
-        return _Timer(self.histogram(name, help))
+    # ------------------------------------------------------------------
+    # spans
+    # ------------------------------------------------------------------
+    def span(self, name: str, **counters: Number) -> _Span:
+        """Open a (possibly nested) span named *name*."""
+        record = SpanRecord(
+            name=name,
+            start=time.perf_counter() - self._epoch,
+            duration=0.0,
+            depth=len(self._stack),
+            counters=dict(counters),
+        )
+        self._spans.append(record)
+        self._stack.append(record)
+        return _Span(self, record)
+
+    def _close(self, record: SpanRecord) -> None:
+        record.duration = time.perf_counter() - self._epoch - record.start
+        while self._stack:
+            if self._stack.pop() is record:
+                break
+
+    def add_counters(self, **counters: Number) -> None:
+        """Merge counters into the innermost open span (no-op if none)."""
+        if self._stack:
+            self._stack[-1].counters.update(counters)
 
     # ------------------------------------------------------------------
-    # activation (mirrors PipelineProfiler.activate)
+    # activation
     # ------------------------------------------------------------------
     def activate(self) -> "_Activation":
-        """Install this registry as the target of :func:`active_registry`."""
+        """Install this registry as the target of the module hooks."""
         return _Activation(self)
 
     # ------------------------------------------------------------------
@@ -230,6 +358,15 @@ class MetricsRegistry:
             return g.value
         return None
 
+    def report(self) -> PipelineProfile:
+        """The recorded spans (open spans keep duration 0)."""
+        if self._stack:
+            logger.warning(
+                "span report taken with %d span(s) still open",
+                len(self._stack),
+            )
+        return PipelineProfile(spans=list(self._spans))
+
     def snapshot(self, **context: Optional[float]) -> "MetricsSnapshot":
         """Freeze the current instrument values into a snapshot.
 
@@ -238,7 +375,7 @@ class MetricsRegistry:
         the live-monitor context the raw instruments cannot derive.
         """
         return MetricsSnapshot(
-            wall_time=(time.perf_counter_ns() - self._epoch_ns) * 1e-9,
+            wall_time=time.perf_counter() - self._epoch,
             counters={k: c.value for k, c in sorted(self._counters.items())},
             gauges={k: g.value for k, g in sorted(self._gauges.items())},
             histograms={
@@ -429,12 +566,26 @@ def active_registry() -> Optional[MetricsRegistry]:
     return _ACTIVE
 
 
-def metric_inc(name: str, n: Number = 1) -> None:
-    """Hook for the offline layers: bump a counter if a registry is on.
+def pipeline_span(name: str, **counters: Number):
+    """Hook for the pipeline stages: a span on the active registry.
 
-    One module-global read on the off path — same cost model as
-    :func:`repro.obs.profiling.pipeline_span`.
+    Returns a shared no-op context manager when no registry is active.
     """
+    registry = _ACTIVE
+    if registry is None:
+        return _NULL_CONTEXT
+    return registry.span(name, **counters)
+
+
+def add_counters(**counters: Number) -> None:
+    """Hook: attach counters to the active registry's innermost span."""
+    registry = _ACTIVE
+    if registry is not None:
+        registry.add_counters(**counters)
+
+
+def metric_inc(name: str, n: Number = 1) -> None:
+    """Hook for the offline layers: bump a counter if a registry is on."""
     registry = _ACTIVE
     if registry is not None:
         registry.counter(name).value += n
@@ -445,14 +596,6 @@ def metric_observe(name: str, v: Number) -> None:
     registry = _ACTIVE
     if registry is not None:
         registry.histogram(name).observe(v)
-
-
-def metric_timer(name: str):
-    """Hook for the offline layers: time a block into a histogram (ns)."""
-    registry = _ACTIVE
-    if registry is None:
-        return _NULL_TIMER
-    return registry.timer(name)
 
 
 def iter_hot_metric_names() -> Iterator[str]:

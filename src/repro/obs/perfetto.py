@@ -17,9 +17,9 @@ Produces the classic Trace Event Format (loadable by both
   wait and overlap are visible at a glance.
 * **pipeline** (pid 5) — the *offline* scheduling pipeline, when the
   run's programs were built under an active
-  :class:`~repro.obs.profiling.PipelineProfiler`: one nested slice per
-  span (rooting, phase partitioning, program emission, transitive
-  reduction, ...), counters in the args.  Its clock is the profiler's
+  :class:`~repro.obs.metrics_registry.MetricsRegistry`: one nested slice
+  per span (rooting, phase partitioning, program emission, transitive
+  reduction, ...), counters in the args.  Its clock is the registry's
   monotonic epoch, not simulated time — read it as its own timeline.
 * **faults** (pid 6) — when the run executed under a fault plan: one
   duration slice per declared fault window (open-ended windows are

@@ -1,279 +1,13 @@
-"""Span-based profiling of the offline scheduling pipeline.
+"""Former home of the pipeline profiler, kept for the benchmark harness.
 
-The paper's contribution is an *offline* pipeline — root identification,
-extended-ring phase partitioning into ``|M0| * (|M| - |M0|)``
-contention-free phases, per-node program emission, and redundant-sync
-elimination — and follow-on work treats schedule-generation cost as a
-headline metric.  This module makes that pipeline observable:
-
-* :class:`PipelineProfiler` records nested, monotonic-clock spans with
-  attached counters (phases produced, sync messages before/after
-  elimination, dependence-graph nodes/edges, ...).
-* The pipeline stages in :mod:`repro.core` are instrumented with
-  :func:`pipeline_span` / :func:`add_counters` hooks that are near-free
-  when no profiler is active: one module-global read and the return of
-  a shared no-op context manager.
-* :meth:`PipelineProfiler.report` yields a :class:`PipelineProfile`
-  that exports to JSON (ledger records, ``--metrics-out``) and to the
-  Perfetto trace as a dedicated *pipeline* track.
-
-Usage::
-
-    profiler = PipelineProfiler()
-    with profiler.activate():
-        schedule = schedule_aapc(topology)
-    profile = profiler.report()
-    print(profile.render())
-
-Activation uses a module-level slot (the pipeline is single-threaded);
-nested activations restore the previous profiler on exit.
+Pipeline spans are recorded by :class:`repro.obs.metrics_registry.MetricsRegistry`,
+the one instrumentation recorder.  The benchmark harness under
+``bench/`` imports these two names from this module, so they stay
+importable here: ``PipelineProfiler`` *is* the registry class.  No
+module of the library imports this one.
 """
 
-from __future__ import annotations
+from repro.obs.metrics_registry import MetricsRegistry as PipelineProfiler
+from repro.obs.metrics_registry import PipelineProfile
 
-import logging
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
-
-logger = logging.getLogger("repro.obs.profiling")
-
-#: Counter values attached to a span.
-CounterValue = Union[int, float]
-
-
-@dataclass
-class SpanRecord:
-    """One completed (or still open) span of the pipeline."""
-
-    name: str
-    #: Seconds since the profiler's epoch (monotonic clock).
-    start: float
-    #: Span duration in seconds (0.0 while still open).
-    duration: float
-    #: Nesting depth: 0 for top-level spans.
-    depth: int
-    counters: Dict[str, CounterValue] = field(default_factory=dict)
-
-    @property
-    def duration_ms(self) -> float:
-        return self.duration * 1e3
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "start_ms": self.start * 1e3,
-            "duration_ms": self.duration_ms,
-            "depth": self.depth,
-            "counters": dict(self.counters),
-        }
-
-
-@dataclass
-class PipelineProfile:
-    """The finished report of one profiled pipeline execution."""
-
-    spans: List[SpanRecord] = field(default_factory=list)
-
-    def span(self, name: str) -> Optional[SpanRecord]:
-        """The first span called *name* (None when absent)."""
-        for s in self.spans:
-            if s.name == name:
-                return s
-        return None
-
-    def total(self, name: str) -> float:
-        """Summed duration (seconds) of every span called *name*."""
-        return sum(s.duration for s in self.spans if s.name == name)
-
-    @property
-    def wall_time(self) -> float:
-        """Seconds from the first span's start to the last span's end."""
-        if not self.spans:
-            return 0.0
-        return max(s.start + s.duration for s in self.spans) - min(
-            s.start for s in self.spans
-        )
-
-    def as_dicts(self) -> List[Dict[str, object]]:
-        """JSON-serialisable span list (ledger / metrics report form)."""
-        return [s.as_dict() for s in self.spans]
-
-    def perfetto_events(self, *, pid: int, tid: int = 0) -> List[dict]:
-        """Trace Event ``X`` slices for the *pipeline* track.
-
-        Spans are properly nested in time, so complete events on a
-        single thread render as a nested flame chart.
-        """
-        events: List[dict] = []
-        for s in self.spans:
-            events.append(
-                {
-                    "name": s.name,
-                    "cat": "pipeline",
-                    "ph": "X",
-                    "ts": s.start * 1e6,
-                    "dur": s.duration * 1e6,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": dict(s.counters),
-                }
-            )
-        return events
-
-    def render(self) -> str:
-        """Terminal flame-style listing, one line per span."""
-        lines = []
-        for s in self.spans:
-            counters = ""
-            if s.counters:
-                counters = "  " + " ".join(
-                    f"{k}={v}" for k, v in sorted(s.counters.items())
-                )
-            lines.append(
-                f"{'  ' * s.depth}{s.name:<{32 - 2 * s.depth}s} "
-                f"{s.duration_ms:9.3f} ms{counters}"
-            )
-        return "\n".join(lines)
-
-
-class _Span:
-    """Context manager for one span (returned by ``profiler.span``)."""
-
-    __slots__ = ("_profiler", "_record")
-
-    def __init__(self, profiler: "PipelineProfiler", record: SpanRecord):
-        self._profiler = profiler
-        self._record = record
-
-    def __enter__(self) -> SpanRecord:
-        return self._record
-
-    def __exit__(self, *exc) -> None:
-        self._profiler._close(self._record)
-
-
-class _NullSpan:
-    """Shared no-op context manager: the profiler-off fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class PipelineProfiler:
-    """Collects nested spans and counters from one pipeline execution.
-
-    The profiler is cheap but not free *when active*; when no profiler
-    is active the instrumentation hooks in :mod:`repro.core` cost a
-    single global read.  Not thread-safe (the offline pipeline is
-    sequential).
-    """
-
-    def __init__(self, *, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._epoch = time.perf_counter()
-        self._spans: List[SpanRecord] = []
-        self._stack: List[SpanRecord] = []
-
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
-    def span(self, name: str, **counters: CounterValue) -> "_Span":
-        """Open a (possibly nested) span named *name*."""
-        if not self.enabled:
-            return _NULL_SPAN  # type: ignore[return-value]
-        record = SpanRecord(
-            name=name,
-            start=time.perf_counter() - self._epoch,
-            duration=0.0,
-            depth=len(self._stack),
-            counters=dict(counters),
-        )
-        self._spans.append(record)
-        self._stack.append(record)
-        return _Span(self, record)
-
-    def _close(self, record: SpanRecord) -> None:
-        record.duration = time.perf_counter() - self._epoch - record.start
-        while self._stack:
-            top = self._stack.pop()
-            if top is record:
-                break
-
-    def add_counters(self, **counters: CounterValue) -> None:
-        """Merge counters into the innermost open span (no-op if none)."""
-        if not self.enabled or not self._stack:
-            return
-        self._stack[-1].counters.update(counters)
-
-    # ------------------------------------------------------------------
-    # activation
-    # ------------------------------------------------------------------
-    def activate(self) -> "_Activation":
-        """Install this profiler as the target of the module hooks."""
-        return _Activation(self)
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def report(self) -> PipelineProfile:
-        """Snapshot the recorded spans (open spans keep duration 0)."""
-        if self._stack:
-            logger.warning(
-                "profiler report taken with %d span(s) still open",
-                len(self._stack),
-            )
-        return PipelineProfile(spans=list(self._spans))
-
-
-class _Activation:
-    __slots__ = ("_profiler", "_previous")
-
-    def __init__(self, profiler: PipelineProfiler):
-        self._profiler = profiler
-        self._previous: Optional[PipelineProfiler] = None
-
-    def __enter__(self) -> PipelineProfiler:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self._profiler
-        return self._profiler
-
-    def __exit__(self, *exc) -> None:
-        global _ACTIVE
-        _ACTIVE = self._previous
-
-
-#: The currently active profiler; ``None`` keeps instrumentation free.
-_ACTIVE: Optional[PipelineProfiler] = None
-
-
-def active_profiler() -> Optional[PipelineProfiler]:
-    return _ACTIVE
-
-
-def pipeline_span(name: str, **counters: CounterValue):
-    """Hook used by the pipeline stages: a span on the active profiler.
-
-    Returns a shared no-op context manager when no profiler is active,
-    so instrumented code pays one global read on the off path.
-    """
-    profiler = _ACTIVE
-    if profiler is None:
-        return _NULL_SPAN
-    return profiler.span(name, **counters)
-
-
-def add_counters(**counters: CounterValue) -> None:
-    """Attach counters to the innermost open span, if a profiler is on."""
-    profiler = _ACTIVE
-    if profiler is not None:
-        profiler.add_counters(**counters)
+__all__ = ["PipelineProfile", "PipelineProfiler"]

@@ -25,7 +25,7 @@ from repro.errors import ReproError
 from repro.obs.bus import LinkOccupancy
 from repro.obs.link_metrics import LinkMetricsReport
 from repro.obs.phase_audit import PhaseWindow, phase_windows, windows_dict
-from repro.obs.profiling import PipelineProfile
+from repro.obs.metrics_registry import PipelineProfile
 from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,7 +73,7 @@ class RunTelemetry:
     occupancy: List[LinkOccupancy] = field(default_factory=list)
     #: Offline-pipeline profile for the schedule this run executed
     #: (attached by callers that built programs under an active
-    #: :class:`~repro.obs.profiling.PipelineProfiler`).
+    #: :class:`~repro.obs.metrics_registry.MetricsRegistry`).
     pipeline: Optional[PipelineProfile] = None
     #: Declared fault windows (``repro.faults.events.FaultWindow``) —
     #: plain dataclasses, no import of :mod:`repro.faults` needed here.

@@ -23,11 +23,7 @@ from repro.sim.network import FlowNetwork, Flow
 from repro.sim.mpi import SimMPI, Request
 from repro.sim.executor import RunResult, run_programs
 from repro.obs.telemetry import RunTelemetry
-from repro.sim.gantt import (
-    phase_latency_table,
-    phase_overlap_fraction,
-    render_rank_gantt,
-)
+from repro.sim.gantt import phase_latency_table, render_rank_gantt
 from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
@@ -35,7 +31,6 @@ __all__ = [
     "TraceRecord",
     "render_rank_gantt",
     "phase_latency_table",
-    "phase_overlap_fraction",
     "NetworkParams",
     "Engine",
     "SimEvent",

@@ -7,8 +7,7 @@ Turns a :class:`~repro.sim.trace.Trace` into terminal-friendly views:
   The drift of unsynchronized phased algorithms — and the lockstep of
   the pair-wise-synchronized schedule — is visible at a glance.
 * :func:`phase_latency_table` — per schedule phase: first activity,
-  last activity, span (the windows of
-  :func:`repro.obs.phase_audit.phase_windows`) and record count.
+  last activity, span and record count of its phase-tagged records.
 
 Legend for the gantt cells (when several events share a bin the most
 "interesting" wins, in this order):
@@ -99,31 +98,28 @@ def render_rank_gantt(
 
 def phase_latency_table(trace: Trace) -> str:
     """Per-phase first/last activity, span and record count, in ms."""
-    from repro.obs.phase_audit import phase_windows
-
-    windows = phase_windows(trace)
-    if not windows:
+    # phase -> [first record time, last record time, record count]
+    rows: Dict[int, List[float]] = {}
+    for r in trace.records:
+        if r.phase < 0:
+            continue
+        row = rows.get(r.phase)
+        if row is None:
+            rows[r.phase] = [r.time, r.time, 1]
+        else:
+            row[0] = min(row[0], r.time)
+            row[1] = max(row[1], r.time)
+            row[2] += 1
+    if not rows:
         raise ReproError("trace has no phase-tagged records")
     lines = [
         f"{'phase':>6} {'start ms':>10} {'end ms':>10} {'span ms':>9} {'ops':>6}"
     ]
-    for w in windows:
-        ops = len(trace.of_phase(w.phase))
+    for phase in sorted(rows):
+        start, end, ops = rows[phase]
         lines.append(
-            f"{w.phase:>6} {seconds_to_ms(w.start):>10.2f} "
-            f"{seconds_to_ms(w.end):>10.2f} {seconds_to_ms(w.span):>9.2f} "
+            f"{phase:>6} {seconds_to_ms(start):>10.2f} "
+            f"{seconds_to_ms(end):>10.2f} {seconds_to_ms(end - start):>9.2f} "
             f"{ops:>6}"
         )
     return "\n".join(lines)
-
-
-def phase_overlap_fraction(trace: Trace) -> float:
-    """Fraction of consecutive phase pairs whose activity windows overlap.
-
-    A pipelining measure, not contention — see
-    :func:`repro.obs.phase_audit.overlap_fraction`; for contention use
-    the executor's ``max_edge_multiplexing`` (1 = contention-free).
-    """
-    from repro.obs.phase_audit import overlap_fraction, phase_windows
-
-    return overlap_fraction(phase_windows(trace))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, List, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,6 @@ class Trace:
             if r.rank == rank and r.what == what and (tag is None or r.tag == tag):
                 return r
         return None
-
-    def phase_spans(self) -> Dict[int, Tuple[float, float]]:
-        """Per schedule phase: (first record time, last record time)."""
-        from repro.obs.phase_audit import phase_windows
-
-        return {w.phase: (w.start, w.end) for w in phase_windows(self)}
 
     def __len__(self) -> int:
         return len(self.records)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import TopologyError
-from repro.obs.profiling import add_counters, pipeline_span
+from repro.obs.metrics_registry import add_counters, pipeline_span
 from repro.topology.graph import Topology
 
 #: Default 802.1D path cost for 100 Mbps Ethernet.

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.irregular import (
+    IrregularSchedule,
     bandwidth_lower_bound,
     edge_byte_loads,
     schedule_irregular,
@@ -11,6 +12,8 @@ from repro.core.irregular import (
     validate_sizes,
     verify_irregular,
 )
+from repro.core.pattern import Message
+from repro.core.schedule import MessageKind, PhasedSchedule
 from repro.errors import SchedulingError, VerificationError
 from repro.topology.builder import random_tree, single_switch
 from repro.units import kib, mbps
@@ -120,6 +123,18 @@ class TestVerifierCatches:
         result = schedule_irregular(topo, {("n0", "n1"): 100})
         result.phase_sizes[0] = 7
         with pytest.raises(VerificationError, match="dominating size"):
+            verify_irregular(result)
+
+    def test_contending_messages_in_one_phase(self, topo):
+        # n0->n2 and n1->n2 share n2's downlink
+        sizes = {("n0", "n2"): 100, ("n1", "n2"): 100}
+        schedule = PhasedSchedule(topo, 1)
+        for src, dst in sizes:
+            schedule.add(0, Message(src, dst), MessageKind.GLOBAL)
+        result = IrregularSchedule(
+            schedule=schedule, sizes=sizes, phase_sizes=[100]
+        )
+        with pytest.raises(VerificationError, match="contend"):
             verify_irregular(result)
 
     def test_missing_message(self, topo):

@@ -113,3 +113,65 @@ class TestObservedRun:
             run.require("attribution")
         # The phase audit reads flows, which are never capped.
         assert run.audit is not None
+
+
+class TestRecordContract:
+    """What one observed run of the paper's routine records: the span
+    timeline of the offline pipeline and the ``stats`` instrument keys
+    of the build plus the simulation, in the ledger's schema 1."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.sim.params import NetworkParams
+        from repro.topology.builder import topology_b
+
+        return observe(
+            topology_b(), get_algorithm("generated"), kib(64),
+            NetworkParams(seed=0),
+        )
+
+    def test_pipeline_spans_in_order(self, run):
+        assert [s.name for s in run.pipeline.spans] == [
+            "schedule_aapc",
+            "root_identification",
+            "global_schedule",
+            "phase_partitioning",
+            "verify_schedule",
+            "sync_plan",
+            "dependence_graph",
+            "transitive_reduction",
+            "program_emission",
+        ]
+        entry = run.ledger_entry().as_dict()
+        assert entry["pipeline"] == run.pipeline.as_dicts()
+        assert set(entry["pipeline"][0]) == {
+            "name", "start_ms", "duration_ms", "depth", "counters",
+        }
+
+    def test_stats_instrument_keys(self, run):
+        stats = run.result.stats
+        assert sorted(stats["counters"]) == [
+            "engine.events_total",
+            "mpi.retransmits",
+            "mpi.syncs_posted",
+            "mpi.syncs_retired",
+            "network.flow_pool_reuses",
+            "network.flow_set_changes",
+            "network.full_resolves",
+            "network.resolves_total",
+            "scheduler.phase_partition_attempts",
+        ]
+        assert sorted(stats["histograms"]) == [
+            "engine.event_batch_size",
+            "network.component_flows",
+            "network.resolve_touched",
+            "network.saturated_links",
+            "network.waterfill_iterations",
+        ]
+
+    def test_schema_versions(self):
+        from repro.obs.ledger import LEDGER_SCHEMA_VERSION
+        from repro.obs.metrics_registry import STATS_SCHEMA_VERSION
+
+        assert LEDGER_SCHEMA_VERSION == 1
+        assert STATS_SCHEMA_VERSION == 1

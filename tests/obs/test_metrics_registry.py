@@ -33,7 +33,6 @@ from repro.obs.metrics_registry import (
     loads_snapshot,
     metric_inc,
     metric_observe,
-    metric_timer,
     validate_stats,
 )
 from repro.sim.engine import Engine
@@ -71,15 +70,6 @@ class TestInstruments:
         assert h.sum == 110
         assert h.mean == pytest.approx(110 / 6)
 
-    def test_timer_observes_elapsed_ns(self):
-        registry = MetricsRegistry()
-        with registry.timer("span"):
-            time.sleep(0.001)
-        snap = registry.snapshot()
-        hist = snap.histograms["span"]
-        assert hist["count"] == 1
-        assert hist["sum"] >= 1e6  # at least a millisecond, in ns
-
     def test_get_reads_counters_and_gauges(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
@@ -103,8 +93,6 @@ class TestActivation:
     def test_module_hooks_are_noops_when_off(self):
         metric_inc("scheduler.backtracks")
         metric_observe("scheduler.matching_size", 3)
-        with metric_timer("scheduler.span"):
-            pass
         assert active_registry() is None
 
     def test_module_hooks_record_when_on(self):
@@ -112,12 +100,9 @@ class TestActivation:
         with registry.activate():
             metric_inc("a", 2)
             metric_observe("b", 5)
-            with metric_timer("c"):
-                pass
         assert registry.get("a") == 2
         snap = registry.snapshot()
         assert snap.histograms["b"]["count"] == 1
-        assert snap.histograms["c"]["count"] == 1
 
 
 class TestSnapshotRoundTrip:

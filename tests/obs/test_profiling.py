@@ -1,15 +1,15 @@
-"""Tests for the pipeline span profiler."""
+"""Tests for the pipeline spans of the metrics registry."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.scheduler import schedule_aapc
-from repro.obs.profiling import (
+from repro.obs.metrics_registry import (
+    MetricsRegistry,
     PipelineProfile,
-    PipelineProfiler,
     SpanRecord,
-    active_profiler,
+    active_registry,
     add_counters,
     pipeline_span,
 )
@@ -17,25 +17,25 @@ from repro.obs.profiling import (
 
 class TestProfilerBasics:
     def test_spans_record_nesting_depth(self):
-        profiler = PipelineProfiler()
-        with profiler.span("outer"):
-            with profiler.span("inner"):
-                with profiler.span("innermost"):
+        registry = MetricsRegistry()
+        with registry.span("outer"):
+            with registry.span("inner"):
+                with registry.span("innermost"):
                     pass
-            with profiler.span("sibling"):
+            with registry.span("sibling"):
                 pass
-        profile = profiler.report()
+        profile = registry.report()
         depths = {s.name: s.depth for s in profile.spans}
         assert depths == {
             "outer": 0, "inner": 1, "innermost": 2, "sibling": 1,
         }
 
     def test_span_durations_are_positive_and_nested_in_time(self):
-        profiler = PipelineProfiler()
-        with profiler.span("outer"):
-            with profiler.span("inner"):
+        registry = MetricsRegistry()
+        with registry.span("outer"):
+            with registry.span("inner"):
                 sum(range(1000))
-        profile = profiler.report()
+        profile = registry.report()
         outer = profile.span("outer")
         inner = profile.span("inner")
         assert outer.duration > 0
@@ -46,23 +46,17 @@ class TestProfilerBasics:
         )
 
     def test_counters_at_open_and_via_add_counters(self):
-        profiler = PipelineProfiler()
-        with profiler.span("stage", items=3):
-            profiler.add_counters(edges=7)
-            profiler.add_counters(edges=9, extra=1)
-        span = profiler.report().span("stage")
+        registry = MetricsRegistry()
+        with registry.span("stage", items=3):
+            registry.add_counters(edges=7)
+            registry.add_counters(edges=9, extra=1)
+        span = registry.report().span("stage")
         assert span.counters == {"items": 3, "edges": 9, "extra": 1}
 
     def test_add_counters_without_open_span_is_noop(self):
-        profiler = PipelineProfiler()
-        profiler.add_counters(orphan=1)
-        assert profiler.report().spans == []
-
-    def test_disabled_profiler_records_nothing(self):
-        profiler = PipelineProfiler(enabled=False)
-        with profiler.span("stage"):
-            profiler.add_counters(x=1)
-        assert profiler.report().spans == []
+        registry = MetricsRegistry()
+        registry.add_counters(orphan=1)
+        assert registry.report().spans == []
 
     def test_total_sums_repeated_spans(self):
         profile = PipelineProfile(
@@ -79,37 +73,37 @@ class TestProfilerBasics:
 
 class TestModuleHooks:
     def test_hooks_are_noops_without_active_profiler(self):
-        assert active_profiler() is None
+        assert active_registry() is None
         with pipeline_span("anything", n=1) as record:
             assert record is None
         add_counters(x=1)  # must not raise
 
     def test_activation_routes_hooks_and_restores(self):
-        profiler = PipelineProfiler()
-        with profiler.activate():
-            assert active_profiler() is profiler
+        registry = MetricsRegistry()
+        with registry.activate():
+            assert active_registry() is registry
             with pipeline_span("hooked"):
                 add_counters(n=4)
-        assert active_profiler() is None
-        span = profiler.report().span("hooked")
+        assert active_registry() is None
+        span = registry.report().span("hooked")
         assert span is not None
         assert span.counters == {"n": 4}
 
     def test_nested_activation_restores_previous(self):
-        outer, inner = PipelineProfiler(), PipelineProfiler()
+        outer, inner = MetricsRegistry(), MetricsRegistry()
         with outer.activate():
             with inner.activate():
-                assert active_profiler() is inner
-            assert active_profiler() is outer
-        assert active_profiler() is None
+                assert active_registry() is inner
+            assert active_registry() is outer
+        assert active_registry() is None
 
 
 class TestPipelineInstrumentation:
     def test_schedule_aapc_produces_stage_spans(self, fig1):
-        profiler = PipelineProfiler()
-        with profiler.activate():
+        registry = MetricsRegistry()
+        with registry.activate():
             schedule = schedule_aapc(fig1)
-        profile = profiler.report()
+        profile = registry.report()
         names = {s.name for s in profile.spans}
         assert "schedule_aapc" in names
         assert "root_identification" in names
@@ -119,18 +113,41 @@ class TestPipelineInstrumentation:
         assert top.counters["phases"] == schedule.num_phases
         assert top.counters["messages"] == len(schedule)
 
+    def test_span_override_sees_every_core_span(self, fig1):
+        """A subclass overriding ``span`` (how a memory profiler wraps
+        each span) is what the pipeline hooks call."""
+        seen = []
+
+        class Recording(MetricsRegistry):
+            def span(self, name, **counters):
+                seen.append(name)
+                return super().span(name, **counters)
+
+        recorder = Recording()
+        with recorder.activate():
+            schedule_aapc(fig1)
+        recorded = [s.name for s in recorder.report().spans]
+        assert seen == recorded
+        assert {
+            "schedule_aapc",
+            "root_identification",
+            "global_schedule",
+            "phase_partitioning",
+            "verify_schedule",
+        } <= set(seen)
+
     def test_no_spans_leak_without_activation(self, fig1):
         schedule_aapc(fig1)
-        assert active_profiler() is None
+        assert active_registry() is None
 
 
 class TestExportForms:
     def _profile(self):
-        profiler = PipelineProfiler()
-        with profiler.span("outer", phases=9):
-            with profiler.span("inner"):
+        registry = MetricsRegistry()
+        with registry.span("outer", phases=9):
+            with registry.span("inner"):
                 pass
-        return profiler.report()
+        return registry.report()
 
     def test_as_dicts_roundtrips_to_json_types(self):
         import json

@@ -8,6 +8,7 @@ from repro.core.scheduler import schedule_aapc
 from repro.core.synchronization import build_sync_plan
 from repro.core.program import build_programs
 from repro.errors import ProgramError, SimulationError
+from repro.obs.phase_audit import phase_windows
 from repro.sim.executor import run_programs
 from repro.sim.params import NetworkParams
 from repro.topology.builder import single_switch
@@ -229,10 +230,9 @@ class TestTrace:
         plan = build_sync_plan(schedule)
         programs = build_programs(schedule, plan)
         result = run_programs(fig1, programs, 1 << 20, quiet_params, trace=True)
-        spans = result.trace.phase_spans()
-        assert set(spans) == set(range(schedule.num_phases))
-        # spans are well-formed and the run ends with the last phase
-        for lo, hi in spans.values():
-            assert lo <= hi
-        last = schedule.num_phases - 1
-        assert spans[last][1] == pytest.approx(result.completion_time)
+        windows = phase_windows(result.trace)
+        assert [w.phase for w in windows] == list(range(schedule.num_phases))
+        # windows are well-formed and the run ends with the last phase
+        for w in windows:
+            assert w.start <= w.end
+        assert windows[-1].end == pytest.approx(result.completion_time)

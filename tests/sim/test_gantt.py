@@ -5,11 +5,8 @@ import pytest
 from repro.algorithms import GeneratedAlltoall, get_algorithm
 from repro.errors import ReproError
 from repro.sim.executor import run_programs
-from repro.sim.gantt import (
-    phase_latency_table,
-    phase_overlap_fraction,
-    render_rank_gantt,
-)
+from repro.obs.phase_audit import overlap_fraction, phase_windows
+from repro.sim.gantt import phase_latency_table, render_rank_gantt
 from repro.sim.params import NetworkParams
 from repro.sim.trace import Trace
 from repro.topology.builder import single_switch
@@ -145,10 +142,11 @@ class TestPhaseMetrics:
         for name in ("generated", "generated-nosync"):
             programs = get_algorithm(name).build_programs(topo, kib(64))
             result = run_programs(topo, programs, kib(64), params, trace=True)
-            assert 0.0 <= phase_overlap_fraction(result.trace) <= 1.0
+            overlap = overlap_fraction(phase_windows(result.trace))
+            assert 0.0 <= overlap <= 1.0
             mux[name] = result.max_edge_multiplexing
         assert mux["generated"] == 1
         assert mux["generated-nosync"] >= 2
 
     def test_empty_trace_overlap_is_zero(self):
-        assert phase_overlap_fraction(Trace()) == 0.0
+        assert overlap_fraction(phase_windows(Trace())) == 0.0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs.bus import EventBus
+from repro.obs.phase_audit import phase_windows
 from repro.sim.trace import Trace, TraceRecord
 
 
@@ -43,9 +44,11 @@ class TestTrace:
         assert trace.first("n0", "barrier") is None
 
     def test_phase_spans(self):
-        spans = self.make().phase_spans()
-        assert spans[0] == (0.0, 1.0)
-        assert spans[1] == (2.0, 2.0)
+        windows = phase_windows(self.make())
+        assert [(w.phase, w.start, w.end) for w in windows] == [
+            (0, 0.0, 1.0),
+            (1, 2.0, 2.0),
+        ]
 
     def test_records_are_immutable(self):
         record = TraceRecord(0.0, "n0", "x")
