@@ -6,12 +6,12 @@ full pipeline (root + global schedule + assignment + verification) and
 the sync-plan construction across cluster sizes, and checks optimality
 holds throughout.
 
-The ``slow``-marked tests extend the sweep to the *simulator's* engine
-loop at cluster scale: a 128-rank AAPC comparing the incremental
-allocator against the reference progressive filler (the two must agree
-rate-for-rate; the incremental one must be >= 5x faster), and a
-1024-rank AAPC that must finish inside a hard wall-clock budget.  Both
-scale points land in a run-ledger record under ``out/ledger/`` with
+The ``slow``-marked tests extend the sweep to cluster scale: a 128-rank
+AAPC comparing the incremental allocator against the reference
+progressive filler (the two must agree rate-for-rate; the incremental
+one must be >= 5x faster), the paper's generated routine built at 512
+ranks inside a setup budget, and a 1024-rank AAPC whose simulation must
+finish inside a hard wall-clock budget.  The two simulated scale points land in a run-ledger record under ``out/ledger/`` with
 ``sim_wall_ms`` set, so CI gates the wall-clock trend with::
 
     repro-aapc report regress --ledger-dir benchmarks/out/ledger \\
@@ -24,7 +24,7 @@ from typing import Dict
 
 import pytest
 
-from repro.algorithms import get_algorithm
+from repro.algorithms import GeneratedAlltoall, get_algorithm
 from repro.core.scheduler import schedule_aapc
 from repro.core.synchronization import build_sync_plan
 from repro.obs.ledger import AlgorithmEntry, RunLedger, RunRecord, topology_fingerprint
@@ -45,6 +45,11 @@ AAPC_SEED = 7
 #: catch catastrophic (order-of-magnitude) blowups even on slow CI.
 BUDGET_128_S = 90.0
 BUDGET_1024_S = 240.0
+
+#: Setup budget for building the generated routine at 512 ranks: 13-17 s
+#: on a 2-vCPU / 8 GB container, down from 28 s before program emission
+#: and the generator's cyclic-GC passes were made cheaper.
+BUDGET_GEN_512_S = 25.0
 
 #: Acceptance floor for the incremental allocator at 128 ranks.
 MIN_SPEEDUP_128 = 5.0
@@ -163,6 +168,39 @@ def test_allocator_speedup_128rank(emit):
     assert speedup >= MIN_SPEEDUP_128, (
         f"incremental allocator only {speedup:.2f}x faster than reference "
         f"at 128 ranks (floor {MIN_SPEEDUP_128:.0f}x)"
+    )
+
+
+@pytest.mark.slow
+def test_generated_512rank_setup_budget(emit):
+    """The paper's routine builds at 512 ranks inside the setup budget.
+
+    One ``build_programs`` call covers the whole generator: root,
+    global schedule, assignment, verification, sync plan and program
+    emission.  The phase count must still equal the bottleneck load.
+    """
+    topo = cluster(512)
+    algorithm = GeneratedAlltoall()
+    t0 = time.perf_counter()
+    programs = algorithm.build_programs(topo, AAPC_MSIZE)
+    wall = time.perf_counter() - t0
+    phases = algorithm.last_schedule.num_phases
+    emit(
+        "generated_setup_512",
+        "\n".join(
+            [
+                "512-rank generated routine, star_of_switches([128]*4):",
+                "",
+                f"  setup wall clock: {wall:8.2f}s  (budget {BUDGET_GEN_512_S:.0f}s)",
+                f"  phases:           {phases:>10d}",
+                f"  kept syncs:       {len(algorithm.last_sync_plan.syncs):>10d}",
+                f"  program ops:      {sum(len(p) for p in programs.values()):>10d}",
+            ]
+        ),
+    )
+    assert phases == aapc_load(topo)
+    assert wall <= BUDGET_GEN_512_S, (
+        f"512-rank generator took {wall:.1f}s > {BUDGET_GEN_512_S:.0f}s budget"
     )
 
 

@@ -27,6 +27,7 @@ checks every rank ends up holding exactly the blocks addressed to it.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,7 +72,20 @@ class OpKind(enum.Enum):
     BARRIER = "barrier"
 
 
-@dataclass(frozen=True)
+#: Kinds that name a peer: the data transfers and the pair-wise syncs.
+_PEERED_KINDS = (
+    OpKind.ISEND,
+    OpKind.IRECV,
+    OpKind.SEND,
+    OpKind.RECV,
+    OpKind.SYNC_SEND,
+    OpKind.SYNC_RECV,
+)
+_SEND_KINDS = (OpKind.ISEND, OpKind.SEND, OpKind.SYNC_SEND)
+_RECV_KINDS = (OpKind.IRECV, OpKind.RECV, OpKind.SYNC_RECV)
+
+
+@dataclass(frozen=True, slots=True)
 class Op:
     """One operation in a rank's program.
 
@@ -94,10 +108,7 @@ class Op:
     nbytes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        data_ops = (OpKind.ISEND, OpKind.IRECV, OpKind.SEND, OpKind.RECV)
-        if self.kind in data_ops and not self.peer:
-            raise ProgramError(f"{self.kind.value} needs a peer")
-        if self.kind in (OpKind.SYNC_SEND, OpKind.SYNC_RECV) and not self.peer:
+        if not self.peer and self.kind in _PEERED_KINDS:
             raise ProgramError(f"{self.kind.value} needs a peer")
         if self.nbytes is not None and self.nbytes < 0:
             raise ProgramError("nbytes must be non-negative")
@@ -110,11 +121,11 @@ class Op:
 
     @property
     def is_send(self) -> bool:
-        return self.kind in (OpKind.ISEND, OpKind.SEND, OpKind.SYNC_SEND)
+        return self.kind in _SEND_KINDS
 
     @property
     def is_recv(self) -> bool:
-        return self.kind in (OpKind.IRECV, OpKind.RECV, OpKind.SYNC_RECV)
+        return self.kind in _RECV_KINDS
 
     def __str__(self) -> str:
         if self.kind in (OpKind.WAITALL, OpKind.BARRIER):
@@ -153,21 +164,25 @@ class Program:
 
 def validate_programs(programs: Dict[str, Program]) -> None:
     """Static sanity checks: sends and receives pair up by (src, dst, tag)."""
-    sends: Dict[Tuple[str, str, int, bool], int] = {}
-    recvs: Dict[Tuple[str, str, int, bool], int] = {}
+    sends: Counter = Counter()
+    recvs: Counter = Counter()
+    sync_send, sync_recv = OpKind.SYNC_SEND, OpKind.SYNC_RECV
     for rank, prog in programs.items():
         if prog.rank != rank:
             raise ProgramError(
                 f"program keyed {rank!r} claims rank {prog.rank!r}"
             )
-        for op in prog.ops:
-            is_sync = op.kind in (OpKind.SYNC_SEND, OpKind.SYNC_RECV)
-            if op.kind in (OpKind.ISEND, OpKind.SEND, OpKind.SYNC_SEND):
-                key = (rank, op.peer, op.tag, is_sync)
-                sends[key] = sends.get(key, 0) + 1
-            elif op.kind in (OpKind.IRECV, OpKind.RECV, OpKind.SYNC_RECV):
-                key = (op.peer, rank, op.tag, is_sync)
-                recvs[key] = recvs.get(key, 0) + 1
+        ops = prog.ops
+        sends.update(
+            (rank, op.peer, op.tag, op.kind is sync_send)
+            for op in ops
+            if op.kind in _SEND_KINDS
+        )
+        recvs.update(
+            (op.peer, rank, op.tag, op.kind is sync_recv)
+            for op in ops
+            if op.kind in _RECV_KINDS
+        )
     if sends != recvs:
         only_sends = {k: v for k, v in sends.items() if recvs.get(k) != v}
         only_recvs = {k: v for k, v in recvs.items() if sends.get(k) != v}
@@ -215,63 +230,61 @@ def _emit_programs(
 ) -> Dict[str, Program]:
     machines = schedule.topology.machines
     programs: Dict[str, Program] = {m: Program(m) for m in machines}
+    ops_of = {m: prog.ops for m, prog in programs.items()}
+    barrier = sync_mode == "barrier"
+    ISEND, IRECV, WAITALL, BARRIER = (
+        OpKind.ISEND, OpKind.IRECV, OpKind.WAITALL, OpKind.BARRIER
+    )
 
-    # Index sync messages by the data message they gate / follow.
-    gating: Dict[Tuple[str, int], List] = {}
-    unlocking: Dict[Tuple[str, int], List] = {}
-    sync_tags: Dict[int, int] = {}
+    # The sync ops gating / following each (sender, phase) data message.
+    gating: Dict[Tuple[str, int], List[Op]] = {}
+    unlocking: Dict[Tuple[str, int], List[Op]] = {}
     if sync_mode == "pairwise" and sync_plan is not None:
         for seq, s in enumerate(sync_plan.syncs):
             tag = SYNC_TAG_BASE + seq
-            sync_tags[id(s)] = tag
-            gating.setdefault((s.before.src, s.before.phase), []).append((s, tag))
-            unlocking.setdefault((s.after.src, s.after.phase), []).append((s, tag))
+            after, before = s.after.message, s.before.message
+            p_before, p_after = s.before.phase, s.after.phase
+            gating.setdefault((before.src, p_before), []).append(
+                Op(OpKind.SYNC_RECV, after.src, tag, (), p_before)
+            )
+            unlocking.setdefault((after.src, p_after), []).append(
+                Op(OpKind.SYNC_SEND, before.src, tag, (), p_after)
+            )
 
+    # Per participating rank and phase: sync receives, receives, sends,
+    # waitall, sync sends (then a barrier in barrier mode).  Ranks are
+    # independent, so only each phase's participants are visited.  Ops
+    # are immutable, so a phase's ranks share its one waitall / barrier.
     for p in range(schedule.num_phases):
-        phase_msgs = schedule.phase(p)
-        out_of: Dict[str, List] = {}
-        into: Dict[str, List] = {}
-        for sm in phase_msgs:
-            out_of.setdefault(sm.src, []).append(sm)
-            into.setdefault(sm.dst, []).append(sm)
-        participants = set(out_of) | set(into)
-        for rank in machines:
-            if rank not in participants:
-                if sync_mode == "barrier":
-                    programs[rank].append(Op(OpKind.BARRIER, phase=p))
-                continue
-            prog = programs[rank]
-            for s, tag in gating.get((rank, p), ()):
-                prog.append(
-                    Op(OpKind.SYNC_RECV, peer=s.src, tag=tag, phase=p)
-                )
-            for sm in into.get(rank, ()):
-                prog.append(
-                    Op(
-                        OpKind.IRECV,
-                        peer=sm.src,
-                        tag=p,
-                        blocks=((sm.src, sm.dst),),
-                        phase=p,
-                    )
-                )
-            for sm in out_of.get(rank, ()):
-                prog.append(
-                    Op(
-                        OpKind.ISEND,
-                        peer=sm.dst,
-                        tag=p,
-                        blocks=((sm.src, sm.dst),),
-                        phase=p,
-                    )
-                )
-            prog.append(Op(OpKind.WAITALL, phase=p))
-            for s, tag in unlocking.get((rank, p), ()):
-                prog.append(
-                    Op(OpKind.SYNC_SEND, peer=s.dst, tag=tag, phase=p)
-                )
-            if sync_mode == "barrier":
-                prog.append(Op(OpKind.BARRIER, phase=p))
+        into: Dict[str, List[Op]] = {}
+        out_of: Dict[str, List[Op]] = {}
+        for sm in schedule.phase(p):
+            msg = sm.message
+            src, dst = msg.src, msg.dst
+            blocks = ((src, dst),)
+            into.setdefault(dst, []).append(Op(IRECV, src, p, blocks, p))
+            out_of.setdefault(src, []).append(Op(ISEND, dst, p, blocks, p))
+        participants = into.keys() | out_of.keys()
+        waitall = Op(WAITALL, "", 0, (), p)
+        fence = Op(BARRIER, "", 0, (), p) if barrier else None
+        for rank in participants:
+            ops = ops_of[rank]
+            key = (rank, p)
+            if key in gating:
+                ops += gating[key]
+            if rank in into:
+                ops += into[rank]
+            if rank in out_of:
+                ops += out_of[rank]
+            ops.append(waitall)
+            if key in unlocking:
+                ops += unlocking[key]
+            if fence is not None:
+                ops.append(fence)
+        if fence is not None:
+            for rank in machines:
+                if rank not in participants:
+                    ops_of[rank].append(fence)
 
     add_counters(
         ranks=len(programs),

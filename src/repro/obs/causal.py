@@ -185,7 +185,7 @@ class CausalAnalysis:
 
 def _require_full_trace(telemetry: "RunTelemetry") -> None:
     trace = telemetry.trace
-    if not trace.enabled or len(trace) == 0:
+    if len(trace) == 0:
         raise ReproError(
             "causal analysis needs a full execution trace; rerun with "
             "telemetry enabled"

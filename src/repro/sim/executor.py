@@ -200,7 +200,7 @@ def run_programs(
         injector=injector,
     )
     mpi = SimMPI(engine, network, params, injector=injector, bus=bus)
-    run_trace = Trace(enabled=observing, max_records=max_trace_records)
+    run_trace = Trace(max_records=max_trace_records)
     collector: Optional[LinkMetricsCollector] = None
     occupancy_log: List[LinkOccupancy] = []
     if bus is not None:

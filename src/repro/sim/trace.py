@@ -10,9 +10,9 @@ AAPC trace is a few records per operation, small for the paper's
 topologies).  For long-running or production-scale use pass
 ``max_records`` to turn the store into a ring buffer that keeps only
 the most recent records — the flight-recorder discipline — with
-:attr:`Trace.dropped` counting evictions.  A disabled trace
-(``enabled=False``) short-circuits before any record is constructed, so
-tracing costs one attribute check per event when off.
+:attr:`Trace.dropped` counting evictions.  An executor run that is
+not observed leaves its trace unattached, so tracing costs nothing
+when off.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class Trace:
     the bus route so every consumer sees the same stream.
     """
 
-    enabled: bool = True
     #: Ring-buffer capacity; ``None`` (the default) keeps every record.
     max_records: Optional[int] = None
     records: Union[List[TraceRecord], Deque[TraceRecord]] = field(
@@ -71,14 +70,10 @@ class Trace:
         tag: int = 0,
         phase: int = -1,
     ) -> None:
-        if not self.enabled:
-            return
         self.ingest(TraceRecord(time, rank, what, peer, tag, phase))
 
     def ingest(self, record: TraceRecord) -> None:
         """Append an already-built record (the bus-subscriber path)."""
-        if not self.enabled:
-            return
         if (
             self.max_records is not None
             and len(self.records) == self.max_records

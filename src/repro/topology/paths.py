@@ -18,11 +18,12 @@ from repro.topology.graph import Edge, Topology
 class PathOracle:
     """Answers ``path(u, v)`` queries on a validated :class:`Topology`.
 
-    The oracle roots the tree at an arbitrary node, records parent
-    pointers and depths with one BFS, and derives any path from the two
-    node→LCA segments.  Edge-set results are memoised because the
-    contention-free verifier queries the same machine pairs once per
-    phase.
+    The oracle roots the tree at an arbitrary node and records, with
+    one BFS, each node's parent, depth and directed edges to and from
+    the root.  Any path is then two tuple slices cut at the LCA depth:
+    the node's up-edges, then the other node's down-edges.  Edge-set
+    results are memoised because the contention-free verifier queries
+    the same machine pairs once per phase.
 
     Example
     -------
@@ -39,6 +40,10 @@ class PathOracle:
         self.topology = topology
         self._parent: Dict[str, Optional[str]] = {}
         self._depth: Dict[str, int] = {}
+        #: Directed edges from a node up to the root, nearest first.
+        self._up: Dict[str, Tuple[Edge, ...]] = {}
+        #: Directed edges from the root down to a node, root first.
+        self._down: Dict[str, Tuple[Edge, ...]] = {}
         self._edge_cache: Dict[Tuple[str, str], FrozenSet[Edge]] = {}
         self._build()
 
@@ -46,6 +51,7 @@ class PathOracle:
         root = self.topology.machines[0]
         self._parent[root] = None
         self._depth[root] = 0
+        self._up[root] = self._down[root] = ()
         frontier = [root]
         while frontier:
             nxt: List[str] = []
@@ -54,6 +60,8 @@ class PathOracle:
                     if v not in self._parent:
                         self._parent[v] = u
                         self._depth[v] = self._depth[u] + 1
+                        self._up[v] = ((v, u),) + self._up[u]
+                        self._down[v] = self._down[u] + ((u, v),)
                         nxt.append(v)
             frontier = nxt
 
@@ -98,8 +106,10 @@ class PathOracle:
 
     def path_edges(self, u: str, v: str) -> Tuple[Edge, ...]:
         """The directed edges of ``path(u, v)``, in traversal order."""
-        nodes = self.path_nodes(u, v)
-        return tuple(zip(nodes, nodes[1:]))
+        if u == v:
+            return ()
+        da = self._depth[self.lca(u, v)]
+        return self._up[u][: self._depth[u] - da] + self._down[v][da:]
 
     def path_edge_set(self, u: str, v: str) -> FrozenSet[Edge]:
         """``path(u, v)`` as a frozenset of directed edges (memoised)."""

@@ -1,5 +1,7 @@
 """Tests for the generated (paper) algorithm wrapper and the registry."""
 
+import gc
+
 import pytest
 
 from repro.algorithms import GeneratedAlltoall, available_algorithms, get_algorithm
@@ -7,7 +9,12 @@ from repro.core.program import OpKind
 from repro.core.verify import verify_schedule
 from repro.errors import ReproError
 from repro.sim.executor import run_programs
-from repro.topology.builder import single_switch, star_of_switches
+from repro.topology.builder import (
+    random_tree,
+    single_switch,
+    star_of_switches,
+    topology_b,
+)
 from repro.units import kib
 
 
@@ -103,3 +110,44 @@ class TestRegistry:
         algorithm = get_algorithm(name)
         programs = algorithm.build_programs(topo, kib(64))
         run_programs(topo, programs, kib(64), quiet_params)
+
+
+class TestGcPause:
+    """``build_programs`` pauses the cyclic collector and restores it."""
+
+    @pytest.fixture
+    def restore_gc(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_enabled(self, request, restore_gc):
+        (gc.enable if request.param else gc.disable)()
+        return request.param
+
+    def test_restores_collector_state(self, fig1, gc_enabled):
+        GeneratedAlltoall().build_programs(fig1, kib(64))
+        assert gc.isenabled() is gc_enabled
+
+    def test_restores_collector_state_on_error(self, fig1, gc_enabled):
+        with pytest.raises(ReproError, match="local_embedding"):
+            GeneratedAlltoall(local_embedding="bogus").build_programs(
+                fig1, kib(64)
+            )
+        assert gc.isenabled() is gc_enabled
+
+    @pytest.mark.parametrize(
+        "build", [topology_b, lambda: random_tree(24, 6, seed=7)],
+        ids=["topology_b", "random_tree"],
+    )
+    def test_generator_builds_no_cycles(self, restore_gc, build):
+        """Everything a build drops is freed by reference counting alone,
+        so pausing the collector across it cannot grow memory."""
+        topology = build()
+        gc.collect()
+        gc.disable()
+        algorithm = GeneratedAlltoall()
+        algorithm.build_programs(topology, kib(64))
+        del algorithm
+        assert gc.collect() == 0

@@ -1,7 +1,11 @@
 """Tests for the per-rank op IR and program lowering."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro.algorithms import GeneratedAlltoall
 from repro.core.program import (
     Op,
     OpKind,
@@ -13,7 +17,7 @@ from repro.core.program import (
 from repro.core.scheduler import schedule_aapc
 from repro.core.synchronization import build_sync_plan
 from repro.errors import ProgramError
-from repro.topology.builder import single_switch
+from repro.topology.builder import random_tree, single_switch, topology_b
 
 
 @pytest.fixture
@@ -25,10 +29,22 @@ def fig1_programs(fig1):
 
 class TestOp:
     def test_data_ops_need_peer(self):
-        with pytest.raises(ProgramError):
-            Op(OpKind.ISEND)
-        with pytest.raises(ProgramError):
-            Op(OpKind.SYNC_RECV)
+        for kind in OpKind:
+            if kind in (OpKind.WAITALL, OpKind.BARRIER):
+                continue
+            with pytest.raises(ProgramError, match="needs a peer"):
+                Op(kind, tag=3, phase=1)
+
+    def test_negative_nbytes_rejected(self):
+        with pytest.raises(ProgramError, match="non-negative"):
+            Op(OpKind.ISEND, peer="x", nbytes=-1)
+        assert Op(OpKind.ISEND, peer="x", nbytes=0).wire_size(64) == 0
+
+    def test_frozen_and_slotted(self):
+        op = Op(OpKind.ISEND, peer="x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.tag = 5
+        assert not hasattr(op, "__dict__")
 
     def test_waitall_needs_no_peer(self):
         op = Op(OpKind.WAITALL)
@@ -76,6 +92,65 @@ class TestValidatePrograms:
             "a": Program("a", [Op(OpKind.ISEND, peer="b", tag=7)]),
             "b": Program("b", [Op(OpKind.SYNC_RECV, peer="a", tag=7)]),
         }
+        with pytest.raises(ProgramError, match="unmatched"):
+            validate_programs(programs)
+
+
+def _programs_digest(programs):
+    """The bench's programs digest: every op of every rank, in rank order."""
+    h = hashlib.sha256()
+    for rank in sorted(programs):
+        for op in programs[rank].ops:
+            h.update(
+                f"{rank} {op.kind.value} {op.peer} {op.tag} {op.phase} "
+                f"{op.nbytes} {op.blocks}\n".encode()
+            )
+    return h.hexdigest()
+
+
+#: Programs digests of the sync modes the bench pins do not cover,
+#: recorded from the per-machine, per-phase emitter before it was
+#: rewritten to visit only each phase's participants.
+EMISSION_GOLDEN = {
+    ("topology_b", "barrier"):
+        "882f3dbbd28a02bc7d6705b9b54436c816abdc671c32f1ccc07394a028d65581",
+    ("topology_b", "none"):
+        "0990ff1ad93061b670dfc0adeb72ce26da95d52205e12ffcf5580952e8390e3b",
+    ("topology_b", "allsyncs"):
+        "96c8306e079d114f22559ad8a86264187be482d12b0873ac8abc93c069c5b3e8",
+    ("random_tree", "barrier"):
+        "5568a25101a7a3e310d4b358691bdb10b0a9cbd025b4f6829b198bfe42c2efc8",
+    ("random_tree", "none"):
+        "742b88ca643ba21df8aec9b110b87123730708d8651ee1061bc0595c164f3743",
+    ("random_tree", "allsyncs"):
+        "e4ec534640f4295207b770db824b4746a59bbaec665f1bae93c417b1884e3a30",
+}
+
+_GOLDEN_TOPOLOGIES = {
+    "topology_b": topology_b,
+    "random_tree": lambda: random_tree(24, 6, seed=7),
+}
+
+_GOLDEN_ALGORITHMS = {
+    "barrier": dict(sync_mode="barrier"),
+    "none": dict(sync_mode="none"),
+    "allsyncs": dict(remove_redundant_syncs=False),
+}
+
+
+class TestEmissionGolden:
+    @pytest.mark.parametrize("topology,mode", sorted(EMISSION_GOLDEN))
+    def test_programs_digest_pinned(self, topology, mode):
+        algorithm = GeneratedAlltoall(**_GOLDEN_ALGORITHMS[mode])
+        programs = algorithm.build_programs(_GOLDEN_TOPOLOGIES[topology](), 65536)
+        assert _programs_digest(programs) == EMISSION_GOLDEN[topology, mode]
+
+    def test_validate_rejects_one_missing_send(self):
+        programs = GeneratedAlltoall().build_programs(topology_b(), 65536)
+        validate_programs(programs)
+        prog = next(iter(programs.values()))
+        idx = next(i for i, op in enumerate(prog.ops) if op.kind == OpKind.ISEND)
+        del prog.ops[idx]
         with pytest.raises(ProgramError, match="unmatched"):
             validate_programs(programs)
 

@@ -19,9 +19,11 @@ class TestTrace:
     def test_add_and_len(self):
         assert len(self.make()) == 4
 
-    def test_disabled_trace_drops_records(self):
-        trace = Trace(enabled=False)
-        trace.add(0.0, "n0", "post_send")
+    def test_unattached_trace_records_nothing(self):
+        """What an unobserved executor run builds: a trace on no bus."""
+        trace = Trace()
+        bus = EventBus()
+        bus.publish(TraceRecord(0.0, "n0", "post_send"))
         assert len(trace) == 0
 
     def test_of_rank(self):
@@ -113,9 +115,11 @@ class TestBusAttachment:
         assert len(trace) == 2
         assert trace.first("n0", "post_send") is not None
 
-    def test_disabled_trace_ignores_bus_records(self):
-        bus = EventBus()
-        trace = Trace(enabled=False)
+    def test_unattached_trace_ignores_other_bus(self):
+        bus, other = EventBus(), EventBus()
+        trace = Trace()
         trace.attach(bus)
-        bus.publish(TraceRecord(0.0, "n0", "post_send"))
+        other.publish(TraceRecord(0.0, "n0", "post_send"))
         assert len(trace) == 0
+        bus.publish(TraceRecord(1.0, "n0", "post_send"))
+        assert len(trace) == 1

@@ -94,6 +94,25 @@ class TestPathProperties:
             assert b in topo.neighbors(a)
         assert oracle.hops(u, v) == len(nodes) - 1
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_path_edges_match_node_walk(self, seed, data):
+        """The sliced edge paths equal the pairwise zip of the node walk."""
+        topo = random_tree(
+            data.draw(st.integers(2, 12)), data.draw(st.integers(1, 5)), seed=seed
+        )
+        oracle = PathOracle(topo)
+        names = [node.name for node in topo.nodes()]
+        for u in names:
+            assert oracle.path_edges(u, u) == ()
+            for v in names:
+                nodes = oracle.path_nodes(u, v)
+                assert oracle.path_edges(u, v) == tuple(zip(nodes, nodes[1:]))
+        known = data.draw(st.sampled_from(names))
+        for u, v in ((known, "ghost"), ("ghost", known), ("ghost", "phantom")):
+            with pytest.raises(TopologyError):
+                oracle.path_edges(u, v)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_lca_symmetry(self, seed):
