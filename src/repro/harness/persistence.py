@@ -68,6 +68,8 @@ def result_from_dict(data: dict) -> ExperimentResult:
             f"expected {SCHEMA_VERSION}"
         )
     params_data = dict(data["params"])
+    # Written by versions that had the (removed) flow-pool switch.
+    params_data.pop("pool_flows", None)
     if "rank_speed_overrides" in params_data:
         # JSON has no tuples; restore the dataclass's canonical form.
         params_data["rank_speed_overrides"] = tuple(

@@ -9,15 +9,18 @@ the active flow set (see :mod:`repro.sim.network` for the model):
   trusted oracle for the differential suite
   (``tests/sim/test_allocator_differential.py``).
 * :class:`IncrementalAllocator` — tracks the set of *dirty* edges
-  (edges whose flow set changed since the last solve), expands it to
-  the connected component of the flow/edge incidence graph, and
-  re-solves **only that component**.  Max-min allocation decomposes
+  (edges whose flow set changed since the last solve) and re-solves
+  **only their closure**: every flow on a dirty edge, plus every flow
+  linked to one through shared edges.  Max-min allocation decomposes
   exactly over these components — flows in different components share
   no edge, so the filling rounds of one component never touch the
   state of another — hence untouched flows keep their previous rates
-  unchanged.  Components above a small size threshold run a
-  numpy-vectorized waterfill; single-flow components (every component
-  of a contention-free schedule) take an allocation-free fast path.
+  unchanged.  The scope is exactly that closure, or every flow after a
+  fault boundary (capacities change globally).  The solve takes one
+  of three paths: a lone flow (every component of a contention-free
+  schedule) gets its path minimum without any filling; a component of
+  at most ``_VECTORIZE_EDGES`` edges runs the reference filler
+  restricted to it; a wider one runs a numpy-vectorized waterfill.
 
 Both allocators produce the same rate vector up to float rounding: the
 vectorized waterfill freezes the same share levels in the same order
@@ -41,16 +44,13 @@ from repro.topology.graph import Edge
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Flow, FlowNetwork
 
-#: Components at or below this many flows use the pure-python filler:
-#: the numpy setup cost only pays off once the arrays have some width.
-_VECTORIZE_THRESHOLD = 12
-#: Crossover to the vectorized filler: the python filler costs
-#: O(touched + edges^2) per solve, the numpy one O(touched) C-level
-#: setup plus a handful of array ops per share level.  Components with
-#: more incidence pairs or more edges than these bounds go to numpy
-#: (bounds picked from LAM-style dense measurements at 24-48 ranks,
-#: where the two fillers break even).
-_VECTORIZE_TOUCHED = 6144
+#: The one crossover between the two fillers: components spanning more
+#: edges than this run the numpy waterfill, the rest the python filler.
+#: The python filler scans every unfrozen edge once per share level,
+#: O(edges^2) per solve; numpy pays a fixed C-level setup plus a few
+#: array ops per level.  Timed on the same components, python wins on
+#: the small ones (up to ~80 edges in the contention-heavy bench cells)
+#: and numpy on bruck's 161-1472-edge ones at 1024 ranks.
 _VECTORIZE_EDGES = 160
 
 
@@ -197,11 +197,6 @@ class IncrementalAllocator(BaseAllocator):
         # hash-randomized per process; dicts are deterministic).
         self._dirty_edges: Dict[Edge, None] = {}
         self._all_dirty = False
-        # Dense-workload detector: consecutive closures that spanned
-        # (nearly) the whole flow set, and a probe countdown for
-        # noticing when the workload thins out again.
-        self._dense_streak = 0
-        self._dense_probe = 0
 
     # -- dirty tracking ------------------------------------------------
     def note_edges_dirty(self, edges: Iterable[Edge]) -> None:
@@ -230,46 +225,27 @@ class IncrementalAllocator(BaseAllocator):
         self._dirty_edges = {}
         edge_flows = net._edge_flows
         flows = net._flows
-        # Dense workloads (unscheduled all-at-once patterns like LAM)
-        # put every flow in one giant component: walking the closure
-        # just to rediscover "everything" costs more than the solve.
-        # After two consecutive full-cover closures, skip the walk and
-        # take the whole flow set — a superset of the dirty closure is
-        # still exact (the extra flows re-solve to their current
-        # rates).  A real walk runs every 16th settle to notice when
-        # the workload thins out.
-        if self._dense_streak >= 2:
-            self._dense_probe += 1
-            if self._dense_probe < 16:
-                scope.update(flows)
-                return
-            self._dense_probe = 0
+        nflows = len(flows)
         # Transitive closure over the flow/edge incidence graph: every
         # flow sharing an edge (directly or through intermediaries)
         # with a changed edge may see its bottleneck shift; nothing
-        # outside the closure can.
-        stack: List[Edge] = list(dirty)
-        seen: Set[Edge] = set(dirty)
-        nflows = len(flows)
-        while stack:
-            if len(scope) == nflows:
-                # The closure already covers every active flow; the
-                # remaining frontier cannot add anything.
-                break
-            e = stack.pop()
-            for fid in edge_flows.get(e, ()):
-                if fid in scope:
+        # outside the closure can.  The walk adds the flows on the
+        # dirty edges, then expands one flow's path at a time, scanning
+        # each edge once.  It stops once the scope holds every active
+        # flow: the rest of the frontier cannot add anything (dense
+        # workloads end here early).
+        seen: Set[Edge] = set()
+        paths: List[Iterable[Edge]] = [dirty]
+        while paths and len(scope) < nflows:
+            for e in paths.pop():
+                if e in seen:
                     continue
-                flow = flows[fid]
-                scope[fid] = flow
-                for e2 in flow.edges:
-                    if e2 not in seen:
-                        seen.add(e2)
-                        stack.append(e2)
-        if len(scope) * 8 >= nflows * 7:
-            self._dense_streak += 1
-        else:
-            self._dense_streak = 0
+                seen.add(e)
+                for fid in edge_flows[e]:
+                    if fid not in scope:
+                        flow = flows[fid]
+                        scope[fid] = flow
+                        paths.append(flow.edges)
 
     def solve(
         self, scope: Dict[int, "Flow"], now: float
@@ -299,9 +275,7 @@ class IncrementalAllocator(BaseAllocator):
                 for e in fe:
                     edge_set[e] = None
             comp_edges = sorted(edge_set, key=order.__getitem__)
-        if len(scope) <= _VECTORIZE_THRESHOLD or (
-            touched <= _VECTORIZE_TOUCHED and len(comp_edges) <= _VECTORIZE_EDGES
-        ):
+        if len(comp_edges) <= _VECTORIZE_EDGES:
             return self._solve_python(scope, comp_edges, now)
         return self._solve_numpy(scope, comp_edges, now)
 

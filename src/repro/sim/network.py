@@ -11,10 +11,10 @@ TCP/Ethernet goodput collapse (see :mod:`repro.sim.params`).
 
 The solve itself is delegated to an allocator
 (:mod:`repro.sim.allocator`): the default ``incremental`` allocator
-re-solves only the connected component of the flow/edge incidence
-graph reachable from edges whose flow set changed — flows elsewhere
-keep their rates, which max-min decomposition makes exact — while the
-``reference`` allocator re-runs the original full filling every time.
+re-solves only the flows linked, directly or through shared edges, to
+an edge whose flow set changed — flows elsewhere keep their rates,
+which max-min decomposition makes exact — while the ``reference``
+allocator re-runs the original full filling every time.
 
 Rate-change instants are *batched*: adds/removes/completions at the
 same instant coalesce into a single settle that runs at the end of the
@@ -25,9 +25,10 @@ lazy — a flow's ``remaining`` is caught up only when its own rate
 changes, at its completion deadline, or via :meth:`sync_progress` —
 and completions come from a deadline heap with stale-entry
 invalidation instead of an O(flows) scan per settle.  Completed
-:class:`Flow` objects are pooled and reused by later
-:meth:`start_flow` calls (disable with ``NetworkParams.pool_flows``);
-a completed flow's fields stay readable until the object is reused.
+:class:`Flow` objects are always pooled and reused by later
+:meth:`start_flow` calls: a completed flow's fields stay readable
+until the object is reused, so a handle must not be kept past its
+completion callback.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class FlowNetwork:
         self._deadlines: List[Tuple[float, int, int]] = []
         self._timer_target = math.inf
         self._timer_epoch = 0
-        self._pool: Optional[List[Flow]] = [] if params.pool_flows else None
+        self._pool: List[Flow] = []
         # Statistics for the invariant tests and reports.
         self.bytes_injected = 0.0
         self.bytes_delivered = 0.0
@@ -303,9 +304,6 @@ class FlowNetwork:
     @property
     def active_flows(self) -> int:
         return len(self._flows)
-
-    def flow_rate(self, flow: Flow) -> float:
-        return flow.rate
 
     @property
     def full_resolves(self) -> int:
@@ -529,8 +527,7 @@ class FlowNetwork:
                     LinkOccupancy(now, e, len(self._edge_flows[e]))
                 )
         flow.on_complete(flow)
-        if self._pool is not None:
-            # Only after the callback: the handle it received must not
-            # mutate under it.  The object stays readable (end_time,
-            # size, ...) until a later start_flow recycles it.
-            self._pool.append(flow)
+        # Only after the callback: the handle it received must not
+        # mutate under it.  The object stays readable (end_time, size,
+        # ...) until a later start_flow recycles it.
+        self._pool.append(flow)

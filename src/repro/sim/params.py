@@ -113,19 +113,15 @@ class NetworkParams:
     rank_speed_overrides: tuple = ()
     #: RNG seed for all noise streams (runs are deterministic per seed).
     seed: int = 0
-    #: Max-min rate solver: ``"incremental"`` (numpy-vectorized,
-    #: re-solves only the dirty connected component of the flow/link
-    #: incidence graph) or ``"reference"`` (the original full
-    #: progressive-filling re-solve at every rate-change instant).  The
-    #: two are rate-for-rate equivalent — the differential suite in
+    #: Max-min rate solver: ``"incremental"`` (re-solves only the
+    #: flows linked through shared edges to an edge whose flow set
+    #: changed, on the python filler or, past a component-width
+    #: crossover, a numpy waterfill) or ``"reference"`` (the original
+    #: full progressive-filling re-solve at every rate-change instant).
+    #: The two are rate-for-rate equivalent — the differential suite in
     #: ``tests/sim/test_allocator_differential.py`` enforces it — so
     #: this knob only trades solver speed, never results.
     allocator: str = "incremental"
-    #: Recycle completed :class:`~repro.sim.network.Flow` objects for
-    #: later transfers (kills per-flow allocation on the hot path).  A
-    #: completed flow handle stays readable until the pool reuses the
-    #: object; disable when holding handles across later starts.
-    pool_flows: bool = True
     #: Resilience protocol (active only under fault injection): a sync
     #: message unacknowledged after this long is retransmitted ...
     sync_retry_timeout: float = us(900)

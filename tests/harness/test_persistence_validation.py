@@ -50,6 +50,11 @@ class TestPersistence:
             result.cell("lam", kib(8)).mean_time
         )
 
+    def test_reads_retired_pool_flows_param(self, result):
+        data = result_to_dict(result)
+        data["params"]["pool_flows"] = True
+        assert result_from_dict(data).params == result.params
+
     def test_schema_guard(self, result):
         data = result_to_dict(result)
         data["schema"] = 99

@@ -6,16 +6,21 @@ completion times, same completion order, same delivered bytes — on
 every workload the simulator can produce.  This suite replays seeded
 random scenarios through both allocators and compares:
 
-* **Network level** (``TestNetworkScenarios``): random topologies x
-  random flow sets (random sources, destinations, sizes, start times),
-  checking every flow's completion time and mid-run rate snapshots.
-* **Executor level** (``TestExecutorScenarios``): full AAPC runs across
-  topology x algorithm x message-size grids, with all noise sources
-  active, checking completion time, per-rank finish times and byte
-  ledgers.
-* **Fault boundaries** (``TestFaultScenarios``): fault plans with
-  mid-run capacity changes (degradations, outages, recoveries) forcing
-  full re-solves at fault boundaries, plus stragglers and crashes.
+* **Network level** (``test_network_scenarios_match``): random
+  topologies x random flow sets (random sources, destinations, sizes,
+  start times), checking every flow's completion time and mid-run rate
+  snapshots.  The same scenarios run a second time with the filler
+  crossover at zero edges, so every multi-flow component takes the
+  numpy waterfill instead of the python filler
+  (``test_network_scenarios_match_numpy_filler``).
+* **Executor level** (``test_executor_scenarios_match``): full AAPC
+  runs across topology x algorithm x message-size grids, with all
+  noise sources active, checking completion time, per-rank finish
+  times and byte ledgers.
+* **Fault boundaries** (``test_fault_scenarios_match``): fault plans
+  with mid-run capacity changes (degradations, outages, recoveries)
+  forcing full re-solves at fault boundaries, plus stragglers and
+  crashes.
 
 Tolerance: the two allocators follow the same freezing order, so rates
 agree to the accumulation-order ulp (measured <= 1e-14 relative); the
@@ -23,8 +28,8 @@ suite enforces 1e-9 which is many orders of magnitude tighter than any
 quantity the simulator reports.
 
 The scenario count across the whole module is asserted to stay >= 200
-(``test_scenario_coverage_floor``) so future edits cannot quietly
-shrink the lockdown.
+(``test_scenario_coverage_floor``, 320 today) and the numpy waterfill
+to have run, so future edits cannot quietly shrink the lockdown.
 """
 
 import math
@@ -36,6 +41,7 @@ import pytest
 from repro.algorithms import get_algorithm
 from repro.errors import StallError
 from repro.faults.plan import FaultPlan, HostStraggler, LinkFault, RankCrash
+from repro.sim import allocator as allocator_module
 from repro.sim.engine import Engine
 from repro.sim.executor import run_programs
 from repro.sim.network import FlowNetwork
@@ -51,8 +57,9 @@ from repro.topology.builder import (
 REL_TOL = 1e-9
 ABS_TOL = 1e-9
 
-#: Running tally of differential scenarios executed, for the floor check.
-_SCENARIOS_RUN = {"count": 0}
+#: Running tally of differential scenarios executed, and of numpy
+#: waterfill solves among them, for the floor check.
+_SCENARIOS_RUN = {"count": 0, "numpy_solves": 0}
 
 
 def _close(a: float, b: float) -> bool:
@@ -146,13 +153,7 @@ def _run_network_scenario(seed: int, allocator: str):
     }
 
 
-NETWORK_SEEDS = list(range(120))
-
-
-@pytest.mark.parametrize("seed", NETWORK_SEEDS)
-def test_network_scenarios_match(seed):
-    ref = _run_network_scenario(seed, "reference")
-    inc = _run_network_scenario(seed, "incremental")
+def _assert_network_match(ref, inc):
     _assert_map("completion_time", ref["completions"], inc["completions"])
     assert len(ref["snapshots"]) == len(inc["snapshots"])
     for i, (a, b) in enumerate(zip(ref["snapshots"], inc["snapshots"])):
@@ -160,6 +161,34 @@ def test_network_scenarios_match(seed):
     _assert_scalar("bytes_delivered", ref["bytes_delivered"], inc["bytes_delivered"])
     _assert_map("edge_bytes", ref["edge_bytes"], inc["edge_bytes"])
     _SCENARIOS_RUN["count"] += 1
+
+
+NETWORK_SEEDS = list(range(120))
+
+
+@pytest.mark.parametrize("seed", NETWORK_SEEDS)
+def test_network_scenarios_match(seed):
+    ref = _run_network_scenario(seed, "reference")
+    inc = _run_network_scenario(seed, "incremental")
+    _assert_network_match(ref, inc)
+
+
+@pytest.mark.parametrize("seed", NETWORK_SEEDS)
+def test_network_scenarios_match_numpy_filler(seed, monkeypatch):
+    """The same scenarios with every multi-flow solve on numpy."""
+    ref = _run_network_scenario(seed, "reference")
+    monkeypatch.setattr(allocator_module, "_VECTORIZE_EDGES", 0)
+    solve_numpy = allocator_module.IncrementalAllocator._solve_numpy
+
+    def counted(self, *args):
+        _SCENARIOS_RUN["numpy_solves"] += 1
+        return solve_numpy(self, *args)
+
+    monkeypatch.setattr(
+        allocator_module.IncrementalAllocator, "_solve_numpy", counted
+    )
+    inc = _run_network_scenario(seed, "incremental")
+    _assert_network_match(ref, inc)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +317,14 @@ def test_scenario_coverage_floor():
     """The differential lockdown must keep >= 200 scenarios.
 
     Runs last within the module (pytest executes in definition order),
-    after every parametrized scenario above has counted itself.
+    after every parametrized scenario above has counted itself.  The
+    numpy-filler pass must actually have reached the numpy waterfill.
     """
     expected = (
-        len(NETWORK_SEEDS)
+        2 * len(NETWORK_SEEDS)
         + len(_EXEC_TOPOLOGIES) * len(_EXEC_ALGOS) * len(_EXEC_SIZES)
         + len(_FAULT_ALGOS) * len(_FAULT_KINDS) * 2
     )
     assert expected >= 200
     assert _SCENARIOS_RUN["count"] == expected
+    assert _SCENARIOS_RUN["numpy_solves"] > 0

@@ -19,14 +19,20 @@ instant:
   ``network.resolves_total >= network.flow_set_changes`` — the settle
   loop consumes at least one re-solve per dirty transition — and both
   stay positive for any scenario that moved bytes.
+
+The ``*_numpy_filler`` variants rerun the incremental allocator with
+the filler crossover at zero edges, so every multi-flow component
+takes the numpy waterfill instead of the python filler.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics_registry import MetricsRegistry
+from repro.sim import allocator as allocator_module
 from repro.sim.engine import Engine
 from repro.sim.network import FlowNetwork
 from repro.sim.params import NetworkParams
@@ -122,9 +128,15 @@ def _check_rate_invariants(net, now):
         )
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6), allocator=st.sampled_from(["incremental", "reference"]))
-def test_waterfill_invariants(seed, allocator):
+@contextmanager
+def _numpy_filler():
+    """Send every multi-flow incremental solve to the numpy waterfill."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocator_module, "_VECTORIZE_EDGES", 0)
+        yield
+
+
+def _check_waterfill_invariants(seed, allocator):
     registry = MetricsRegistry()
     with registry.activate():
         engine, net, specs, done = _build_scenario(seed, allocator)
@@ -167,14 +179,38 @@ def test_waterfill_invariants(seed, allocator):
     assert resolves >= changes
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), allocator=st.sampled_from(["incremental", "reference"]))
+def test_waterfill_invariants(seed, allocator):
+    _check_waterfill_invariants(seed, allocator)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_waterfill_invariants_numpy_filler(seed):
+    with _numpy_filler():
+        _check_waterfill_invariants(seed, "incremental")
+
+
+def _final_clock(seed, allocator):
+    engine, net, specs, done = _build_scenario(seed, allocator)
+    engine.run()
+    assert len(done) == len(specs)
+    return engine.now
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_allocators_agree_on_final_clock(seed):
     """Cheap cross-check: both allocators end the scenario at one instant."""
-    finals = {}
-    for allocator in ("reference", "incremental"):
-        engine, net, specs, done = _build_scenario(seed, allocator)
-        engine.run()
-        assert len(done) == len(specs)
-        finals[allocator] = engine.now
-    assert finals["incremental"] == pytest.approx(finals["reference"], rel=1e-9)
+    ref = _final_clock(seed, "reference")
+    assert _final_clock(seed, "incremental") == pytest.approx(ref, rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_allocators_agree_on_final_clock_numpy_filler(seed):
+    ref = _final_clock(seed, "reference")
+    with _numpy_filler():
+        inc = _final_clock(seed, "incremental")
+    assert inc == pytest.approx(ref, rel=1e-9)
