@@ -40,7 +40,6 @@ from repro.errors import ReproError
 from repro.sim.executor import RunResult, run_programs
 from repro.sim.params import NetworkParams
 from repro.topology.graph import Topology
-from repro.topology.paths import PathOracle
 
 
 class Communicator:
@@ -58,7 +57,6 @@ class Communicator:
         self.topology = topology
         self.params = params if params is not None else NetworkParams()
         self.link_bandwidths = link_bandwidths
-        self._oracle = PathOracle(topology)
         self._program_cache: Dict[Tuple[str, int], dict] = {}
 
     @property
@@ -175,7 +173,6 @@ class Communicator:
             programs,
             msize,
             params,
-            oracle=self._oracle,
             expected_blocks=expected,
             link_bandwidths=self.link_bandwidths,
             trace=trace,

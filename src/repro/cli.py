@@ -547,7 +547,8 @@ def _phases_view(args: argparse.Namespace) -> _View:
 
 
 def _gantt_view(args: argparse.Namespace) -> _View:
-    from repro.sim.gantt import phase_latency_table, render_rank_gantt
+    from repro.obs.phase_audit import phase_windows, windows_table
+    from repro.sim.gantt import render_rank_gantt
 
     def render(run) -> int:
         result = run.result
@@ -559,8 +560,11 @@ def _gantt_view(args: argparse.Namespace) -> _View:
         )
         print(render_rank_gantt(result.trace, ranks=ranks, width=args.width))
         if args.phases:
+            windows = phase_windows(result.trace)
+            if not windows:
+                raise ReproError("trace has no phase-tagged records")
             print()
-            print(phase_latency_table(result.trace))
+            print(windows_table(windows))
         return 0
 
     return _View(render, needs=("trace",))

@@ -26,12 +26,12 @@ remains the right tool; see :func:`repro.core.scheduler.schedule_aapc`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import SchedulingError, VerificationError
 from repro.core.pattern import Message
 from repro.core.schedule import MessageKind, PhasedSchedule
-from repro.core.verify import verify_contention_free
+from repro.core.verify import verify_contention_free, verify_pair_set
 from repro.topology.graph import Edge, Topology
 from repro.topology.paths import PathOracle
 
@@ -77,12 +77,9 @@ def validate_sizes(topology: Topology, sizes: SizeMap) -> Dict[Tuple[str, str], 
     return clean
 
 
-def edge_byte_loads(
-    topology: Topology, sizes: SizeMap, oracle: Optional[PathOracle] = None
-) -> Dict[Edge, int]:
+def edge_byte_loads(topology: Topology, sizes: SizeMap) -> Dict[Edge, int]:
     """Bytes each directed edge must carry for the pattern."""
-    if oracle is None:
-        oracle = PathOracle(topology)
+    oracle = PathOracle(topology)
     loads: Dict[Edge, int] = {e: 0 for e in topology.directed_edges()}
     for (src, dst), nbytes in validate_sizes(topology, sizes).items():
         for edge in oracle.path_edges(src, dst):
@@ -108,7 +105,6 @@ def schedule_irregular(
     sizes: SizeMap,
     *,
     balance: float = 2.0,
-    oracle: Optional[PathOracle] = None,
 ) -> IrregularSchedule:
     """Pack an irregular pattern into contention-free, size-bucketed phases.
 
@@ -123,8 +119,7 @@ def schedule_irregular(
     """
     if balance < 1.0:
         raise SchedulingError("balance must be >= 1")
-    if oracle is None:
-        oracle = PathOracle(topology)
+    oracle = PathOracle(topology)
     clean = validate_sizes(topology, sizes)
     # Largest first: dominating sizes are fixed early, later (smaller)
     # messages fill the gaps.  Ties broken by name for determinism.
@@ -135,7 +130,7 @@ def schedule_irregular(
     buckets: List[List[Tuple[str, str]]] = []
     for pair in order:
         nbytes = clean[pair]
-        edges = oracle.path_edge_set(*pair)
+        edges = frozenset(oracle.path_edges(*pair))
         placed = False
         for i in range(len(buckets)):
             if phase_max[i] > balance * nbytes:
@@ -160,21 +155,14 @@ def schedule_irregular(
     )
 
 
-def verify_irregular(
-    result: IrregularSchedule, oracle: Optional[PathOracle] = None
-) -> None:
+def verify_irregular(result: IrregularSchedule) -> None:
     """Check contention freedom, completeness and size bookkeeping."""
     schedule = result.schedule
-    verify_contention_free(schedule, oracle)
+    verify_contention_free(schedule)
     # completeness: exactly the positive-size pairs
-    scheduled = {sm.message.as_tuple() for sm in schedule.all_messages()}
-    if scheduled != set(result.sizes):
-        missing = set(result.sizes) - scheduled
-        extra = scheduled - set(result.sizes)
-        raise VerificationError(
-            f"irregular schedule mismatch: missing {sorted(missing)[:5]}, "
-            f"extra {sorted(extra)[:5]}"
-        )
+    verify_pair_set(
+        schedule, {Message(*pair) for pair in result.sizes}, "irregular"
+    )
     # phase size = max member size
     for p, phase in enumerate(schedule.phases()):
         biggest = max(result.sizes[sm.message.as_tuple()] for sm in phase)

@@ -15,19 +15,17 @@ is the fairest version of "no scheduling insight at all".
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.pattern import Message, aapc_messages
 from repro.core.schedule import MessageKind, PhasedSchedule
-from repro.topology.graph import Edge, Topology
+from repro.topology.graph import Topology
 from repro.topology.paths import PathOracle
 
 
 def greedy_phases(
     topology: Topology,
     messages: Optional[Sequence[Message]] = None,
-    *,
-    oracle: Optional[PathOracle] = None,
 ) -> PhasedSchedule:
     """First-fit contention-free phase packing of *messages*.
 
@@ -37,14 +35,13 @@ def greedy_phases(
     free and complete, but generally uses more than the optimal
     ``|M_0| * (|M| - |M_0|)`` phases.
     """
-    if oracle is None:
-        oracle = PathOracle(topology)
+    oracle = PathOracle(topology)
     if messages is None:
         messages = aapc_messages(topology)
     phase_edges: List[set] = []
     placements: List[List[Message]] = []
     for message in messages:
-        edges = oracle.path_edge_set(message.src, message.dst)
+        edges = frozenset(oracle.path_edges(message.src, message.dst))
         for edge_set, bucket in zip(phase_edges, placements):
             if not (edges & edge_set):
                 edge_set.update(edges)
@@ -64,9 +61,8 @@ def random_order_phases(
     topology: Topology,
     *,
     seed: int = 0,
-    oracle: Optional[PathOracle] = None,
 ) -> PhasedSchedule:
     """Greedy packing over a seeded random message order."""
     messages = aapc_messages(topology)
     random.Random(seed).shuffle(messages)
-    return greedy_phases(topology, messages, oracle=oracle)
+    return greedy_phases(topology, messages)

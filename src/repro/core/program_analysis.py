@@ -19,8 +19,8 @@ regardless of phasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.obs.metrics_registry import add_counters, pipeline_span
 from repro.core.program import OpKind, Program, effective_round
@@ -81,13 +81,10 @@ def analyze_programs(
     topology: Topology,
     programs: Dict[str, Program],
     msize: int,
-    *,
-    oracle: Optional[PathOracle] = None,
 ) -> ContentionReport:
     """Build a :class:`ContentionReport` for a program set."""
     with pipeline_span("program_analysis"):
-        if oracle is None:
-            oracle = PathOracle(topology)
+        oracle = PathOracle(topology)
         phase_messages: Dict[int, List[Tuple[str, str, int]]] = {}
         edge_bytes: Dict[Edge, int] = {}
         for rank, program in programs.items():

@@ -126,7 +126,6 @@ def schedule_pairs(
     pending: Sequence[Message],
     *,
     template: Optional[PhasedSchedule] = None,
-    oracle: Optional[PathOracle] = None,
     compact: bool = False,
     forbidden_edges: AbstractSet[FrozenSet[str]] = frozenset(),
     verify: bool = True,
@@ -156,8 +155,7 @@ def schedule_pairs(
     with pipeline_span("schedule_pairs"):
         if not topology.validated:
             topology.validate()
-        if oracle is None:
-            oracle = PathOracle(topology)
+        oracle = PathOracle(topology)
 
         hints: Dict[Message, int] = {}
         kinds: Dict[Message, Tuple[MessageKind, Tuple[int, int]]] = {}
@@ -245,7 +243,6 @@ def schedule_pairs(
             verify_schedule_for_pairs(
                 schedule,
                 set(pending),
-                oracle=oracle,
                 forbidden_edges=forbidden_edges,
             )
         return schedule

@@ -42,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class SyncPlan:
 def build_sync_plan(
     schedule: PhasedSchedule,
     *,
-    oracle: Optional[PathOracle] = None,
     elide_program_order: bool = True,
     remove_redundant: bool = True,
 ) -> SyncPlan:
@@ -129,8 +128,7 @@ def build_sync_plan(
         plan that the ablation benchmark compares against.
     """
     with pipeline_span("sync_plan"):
-        if oracle is None:
-            oracle = PathOracle(schedule.topology)
+        oracle = PathOracle(schedule.topology)
         messages = schedule.all_messages()
         stats = SyncStats(num_messages=len(messages))
 
@@ -399,7 +397,7 @@ def _transitive_reduction(
     return kept
 
 
-def verify_sync_plan(plan: SyncPlan, oracle: Optional[PathOracle] = None) -> None:
+def verify_sync_plan(plan: SyncPlan) -> None:
     """Check that every conflicting cross-phase pair is ordered by the plan.
 
     Orderings may come from kept syncs or phased program order.  Raises
@@ -411,8 +409,7 @@ def verify_sync_plan(plan: SyncPlan, oracle: Optional[PathOracle] = None) -> Non
     transitivity then orders every later user too.
     """
     schedule = plan.schedule
-    if oracle is None:
-        oracle = PathOracle(schedule.topology)
+    oracle = PathOracle(schedule.topology)
     messages = schedule.all_messages()
     index = {m: i for i, m in enumerate(messages)}
     reach = _ChainIndex(

@@ -7,7 +7,8 @@ pipeline independently of the two-level-view arguments used to build it.
 * :func:`verify_contention_free` — within every phase no directed edge
   carries two messages (paper's definition of contention).
 * :func:`verify_complete` — the schedule realises exactly the AAPC
-  pattern, each message once.
+  pattern, each message once (:func:`verify_pair_set` checks any
+  other pattern the same way).
 * :func:`verify_phase_count` — the phase count equals the AAPC load
   (bottleneck-link load), i.e. the schedule is throughput-optimal.
 * :func:`verify_endpoint_discipline` — every machine sends at most one
@@ -19,22 +20,20 @@ pipeline independently of the two-level-view arguments used to build it.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
+from collections import Counter
+from typing import AbstractSet, Dict, FrozenSet
 
 from repro.errors import VerificationError
 from repro.core.pattern import Message, aapc_message_set
 from repro.core.schedule import PhasedSchedule
 from repro.topology.analysis import aapc_load
-from repro.topology.graph import Edge, Topology
+from repro.topology.graph import Edge
 from repro.topology.paths import PathOracle
 
 
-def verify_contention_free(
-    schedule: PhasedSchedule, oracle: Optional[PathOracle] = None
-) -> None:
+def verify_contention_free(schedule: PhasedSchedule) -> None:
     """Raise :class:`VerificationError` if any phase has edge contention."""
-    if oracle is None:
-        oracle = PathOracle(schedule.topology)
+    oracle = PathOracle(schedule.topology)
     for p, phase in enumerate(schedule.phases()):
         used: Dict[Edge, str] = {}
         for sm in phase:
@@ -48,27 +47,34 @@ def verify_contention_free(
                 used[edge] = str(sm.message)
 
 
-def verify_complete(schedule: PhasedSchedule) -> None:
-    """Raise unless the schedule realises the AAPC pattern exactly once each."""
-    expected = aapc_message_set(schedule.topology)
-    scheduled = [sm.message for sm in schedule.all_messages()]
-    seen = set(scheduled)
-    if len(scheduled) != len(seen):
-        dupes = sorted(
-            {str(m) for m in scheduled if scheduled.count(m) > 1}
-        )
+def verify_pair_set(
+    schedule: PhasedSchedule, expected: AbstractSet[Message], what: str
+) -> None:
+    """Raise unless *schedule* holds exactly the *expected* messages, once each.
+
+    *what* names the pattern in the error text ("AAPC", "pending", ...).
+    """
+    counts = Counter(sm.message for sm in schedule.all_messages())
+    dupes = sorted(str(m) for m, n in counts.items() if n > 1)
+    if dupes:
         raise VerificationError(f"duplicated messages: {dupes}")
-    missing = expected - seen
+    missing = expected - counts.keys()
     if missing:
         raise VerificationError(
-            f"missing {len(missing)} AAPC messages, e.g. "
-            f"{sorted(str(m) for m in list(missing)[:5])}"
+            f"missing {len(missing)} {what} message(s), e.g. "
+            f"{sorted(str(m) for m in missing)[:5]}"
         )
-    extra = seen - expected
+    extra = counts.keys() - expected
     if extra:
         raise VerificationError(
-            f"non-AAPC messages scheduled: {sorted(str(m) for m in extra)}"
+            f"non-{what} messages scheduled: "
+            f"{sorted(str(m) for m in extra)[:5]}"
         )
+
+
+def verify_complete(schedule: PhasedSchedule) -> None:
+    """Raise unless the schedule realises the AAPC pattern exactly once each."""
+    verify_pair_set(schedule, aapc_message_set(schedule.topology), "AAPC")
 
 
 def verify_phase_count(schedule: PhasedSchedule) -> None:
@@ -114,20 +120,17 @@ def verify_endpoint_discipline(schedule: PhasedSchedule) -> None:
             receivers[sm.dst] = str(sm.message)
 
 
-def verify_schedule(
-    schedule: PhasedSchedule, oracle: Optional[PathOracle] = None
-) -> None:
+def verify_schedule(schedule: PhasedSchedule) -> None:
     """Run every verifier; raise :class:`VerificationError` on the first failure."""
     verify_complete(schedule)
     verify_endpoint_discipline(schedule)
-    verify_contention_free(schedule, oracle)
+    verify_contention_free(schedule)
     verify_phase_count(schedule)
 
 
 def verify_schedule_for_pairs(
     schedule: PhasedSchedule,
-    pairs: Set[Message],
-    oracle: Optional[PathOracle] = None,
+    pairs: AbstractSet[Message],
     *,
     forbidden_edges: AbstractSet[FrozenSet[str]] = frozenset(),
 ) -> None:
@@ -143,28 +146,11 @@ def verify_schedule_for_pairs(
     * contention freedom on the surviving links;
     * no scheduled path crosses a *forbidden* (dead) link.
     """
-    scheduled = [sm.message for sm in schedule.all_messages()]
-    seen = set(scheduled)
-    if len(scheduled) != len(seen):
-        dupes = sorted({str(m) for m in scheduled if scheduled.count(m) > 1})
-        raise VerificationError(f"duplicated messages: {dupes}")
-    missing = pairs - seen
-    if missing:
-        raise VerificationError(
-            f"missing {len(missing)} pending pair(s), e.g. "
-            f"{sorted(str(m) for m in list(missing)[:5])}"
-        )
-    extra = seen - pairs
-    if extra:
-        raise VerificationError(
-            f"non-pending messages scheduled: "
-            f"{sorted(str(m) for m in extra)[:5]}"
-        )
+    verify_pair_set(schedule, pairs, "pending")
     verify_endpoint_discipline(schedule)
-    if oracle is None:
-        oracle = PathOracle(schedule.topology)
-    verify_contention_free(schedule, oracle)
+    verify_contention_free(schedule)
     if forbidden_edges:
+        oracle = PathOracle(schedule.topology)
         for sm in schedule.all_messages():
             for u, v in oracle.path_edges(sm.src, sm.dst):
                 if frozenset((u, v)) in forbidden_edges:
@@ -174,17 +160,14 @@ def verify_schedule_for_pairs(
                     )
 
 
-def max_edge_concurrency(
-    schedule: PhasedSchedule, oracle: Optional[PathOracle] = None
-) -> int:
+def max_edge_concurrency(schedule: PhasedSchedule) -> int:
     """Highest per-phase usage count of any directed edge.
 
     1 for a contention-free schedule; baselines' phase decompositions
     (used by the ablation benchmarks) report how badly they overload
     links.
     """
-    if oracle is None:
-        oracle = PathOracle(schedule.topology)
+    oracle = PathOracle(schedule.topology)
     worst = 0
     for phase in schedule.phases():
         counts: Dict[Edge, int] = {}

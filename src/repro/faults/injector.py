@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.faults.events import FaultWindow, SyncDisrupted
 from repro.faults.plan import FOREVER, FaultPlan, LinkFault
-
-Edge = Tuple[str, str]
+from repro.topology.graph import Edge, Topology
+from repro.topology.paths import PathOracle
 
 #: Fates a sync transmission attempt can meet.
 DELIVER = "deliver"
@@ -76,18 +76,17 @@ class FaultInjector:
     def __init__(
         self,
         plan: FaultPlan,
+        topology: Topology,
         *,
         rng: Optional[random.Random] = None,
-        oracle=None,
         bus=None,
     ) -> None:
-        """*oracle* is a :class:`~repro.topology.paths.PathOracle`; it is
-        required when the plan contains link faults (control-message
-        drops need path lookups).  *rng* defaults to a fresh stream
-        seeded from the plan seed alone."""
+        """*topology* is the cluster the plan runs on; link faults are
+        looked up along its unique paths.  *rng* defaults to a fresh
+        stream seeded from the plan seed alone."""
         self.plan = plan
         self.rng = rng if rng is not None else random.Random(plan.seed)
-        self.oracle = oracle
+        self.oracle = PathOracle(topology)
         self.bus = bus
         self.stats = FaultStats()
         #: Per undirected link: its fault windows (both edge directions).
@@ -180,7 +179,7 @@ class FaultInjector:
 
     def path_factor_floor(self, src: str, dst: str) -> float:
         """Worst capacity multiplier along the src→dst path."""
-        if self.oracle is None or not self._link_faults:
+        if not self._link_faults:
             return 1.0
         return min(
             (self.link_factor_floor(e) for e in self.oracle.path_edges(src, dst)),
@@ -197,7 +196,7 @@ class FaultInjector:
         which is what schedule repair needs to know when deciding which
         syncs to regenerate and which to drop.
         """
-        if self.oracle is None or not self._link_faults:
+        if not self._link_faults:
             return None
         permanent = {
             frozenset(lf.link) for lf in self.plan.permanent_link_failures()
@@ -224,7 +223,7 @@ class FaultInjector:
         are dropped outright — they have no transport-level retransmit
         of their own; recovery is the resilience layer's job.
         """
-        if self.oracle is None or not self._link_faults:
+        if not self._link_faults:
             return None
         for edge in self.oracle.path_edges(src, dst):
             if self._edge_control_blocked(edge, time):

@@ -60,7 +60,6 @@ from repro.obs.metrics_registry import metric_inc
 from repro.sim.params import NetworkParams
 from repro.topology.analysis import aapc_load
 from repro.topology.graph import Topology
-from repro.topology.paths import PathOracle
 
 #: Default ceiling on the relaxed tier's predicted serialization cost,
 #: as a fraction of the Section 3 optimum (``load * msize / B``).  A
@@ -154,7 +153,6 @@ def sync_deliverable(
 
 def predicted_serialization_cost(
     dropped: Sequence[SyncMessage],
-    oracle: PathOracle,
     injector: FaultInjector,
     msize: int,
     params: NetworkParams,
@@ -173,11 +171,9 @@ def predicted_serialization_cost(
     """
     total = 0.0
     for s in dropped:
-        edges = set(oracle.path_edges(s.after.src, s.after.dst)) | set(
-            oracle.path_edges(s.before.src, s.before.dst)
-        )
         floor = min(
-            (injector.link_factor_floor(e) for e in edges), default=1.0
+            injector.path_factor_floor(s.after.src, s.after.dst),
+            injector.path_factor_floor(s.before.src, s.before.dst),
         )
         total += msize / (params.bandwidth * max(floor, _MIN_FLOOR))
     return total
@@ -267,7 +263,6 @@ def repair_schedule(
     pending: Optional[Sequence[Message]] = None,
     stage: str = "pre-run",
     time: float = 0.0,
-    oracle: Optional[PathOracle] = None,
     relax_contention_budget: float = RELAX_CONTENTION_BUDGET,
 ) -> RepairResult:
     """Repair *schedule* against *plan*, trying strict then relaxed tiers.
@@ -287,9 +282,7 @@ def repair_schedule(
         a fraction of the load optimum (see
         :func:`check_contention_budget`).
     """
-    if oracle is None:
-        oracle = PathOracle(topology)
-    injector = FaultInjector(plan, oracle=oracle)
+    injector = FaultInjector(plan, topology)
     full = aapc_message_set(topology)
     pend: Tuple[Message, ...] = (
         tuple(sorted(full)) if pending is None else tuple(sorted(pending))
@@ -305,17 +298,14 @@ def repair_schedule(
             topology,
             pend,
             template=schedule,
-            oracle=oracle,
             compact=(stage == "mid-run"),
             forbidden_edges=dead,
             verify=False,
         )
         if pend_set == full:
-            verify_schedule(repaired, oracle)
+            verify_schedule(repaired)
         else:
-            verify_schedule_for_pairs(
-                repaired, pend_set, oracle, forbidden_edges=dead
-            )
+            verify_schedule_for_pairs(repaired, pend_set, forbidden_edges=dead)
     except (SchedulingError, VerificationError) as exc:
         decisions.append(
             RepairDecision(
@@ -330,7 +320,7 @@ def repair_schedule(
     rewritten, rescheduled = _diff_against_template(
         schedule, repaired, pend_set
     )
-    sync_plan = build_sync_plan(repaired, oracle=oracle)
+    sync_plan = build_sync_plan(repaired)
     blackouts = plan.sync_blackouts()
     kept_plan, dropped = split_sync_plan(
         sync_plan, lambda s: sync_deliverable(s, injector, blackouts)
@@ -376,9 +366,7 @@ def repair_schedule(
 
     # Tier 2: drop the undeliverable syncs, bound the contention cost.
     metric_inc("repair.repairs_attempted")
-    predicted = predicted_serialization_cost(
-        dropped, oracle, injector, msize, params
-    )
+    predicted = predicted_serialization_cost(dropped, injector, msize, params)
     ok, why = check_contention_budget(
         topology, msize, params, predicted, relax_contention_budget
     )

@@ -108,8 +108,6 @@ def _stepwise_cost(
 def choose_fallback(
     topology: Topology,
     plan: Optional[FaultPlan] = None,
-    *,
-    oracle: Optional[PathOracle] = None,
 ) -> str:
     """Pick the sync-free fallback, consulting residual link capacities.
 
@@ -131,8 +129,7 @@ def choose_fallback(
     floors = plan.link_floor_factors()
     if not floors or min(floors.values()) >= 1.0:
         return base
-    if oracle is None:
-        oracle = PathOracle(topology)
+    oracle = PathOracle(topology)
     # Send-peer formulas of PairwiseAlltoall / RingAlltoall
     # (repro.algorithms.mpich); counting sends counts every message.
     pairwise = _stepwise_cost(
@@ -241,7 +238,7 @@ def assess_fault_plan(
     if check_schedule and not partitioned:
         try:
             schedule = schedule_aapc(topology, verify=False)
-            verify_contention_free(schedule, oracle)
+            verify_contention_free(schedule)
         except (VerificationError, ReproError) as exc:
             contention_free = False
             scheduled_viable = False
@@ -340,8 +337,7 @@ def run_resilient(
     decisions: List[FallbackDecision] = []
     repairs: List[RepairDecision] = []
     assessment: Optional[FaultAssessment] = None
-    oracle = PathOracle(topology)
-    fb = choose_fallback(topology, plan, oracle=oracle)
+    fb = choose_fallback(topology, plan)
 
     def run_with(programs, expected_blocks=None) -> RunResult:
         return run_programs(
@@ -349,7 +345,6 @@ def run_resilient(
             programs,
             msize,
             params,
-            oracle=oracle,
             faults=plan,
             watchdog=watchdog,
             telemetry=telemetry,
@@ -427,7 +422,6 @@ def run_resilient(
         if template is not None:
             rr = repair_schedule(
                 topology, template, plan, msize, params,
-                oracle=oracle,
                 relax_contention_budget=relax_contention_budget,
             )
             repairs.extend(rr.decisions)
@@ -510,7 +504,6 @@ def run_resilient(
                     pending=pending,
                     stage="mid-run",
                     time=stall_time,
-                    oracle=oracle,
                     relax_contention_budget=relax_contention_budget,
                 )
                 repairs.extend(rr.decisions)

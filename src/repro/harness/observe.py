@@ -35,7 +35,6 @@ from repro.obs.telemetry import RunTelemetry
 from repro.sim.executor import RunResult, run_programs
 from repro.sim.params import NetworkParams
 from repro.topology.graph import Topology
-from repro.topology.paths import PathOracle
 from repro.units import bytes_per_sec_to_mbps
 
 #: The analyses :func:`analyze` can attach to a run's telemetry.
@@ -49,7 +48,6 @@ def analyze(
     algorithm: str = "",
     *,
     analyses: Collection[str] = ANALYSES,
-    oracle: Optional[PathOracle] = None,
     occupancy_tolerance: float = DEFAULT_OCCUPANCY_TOLERANCE,
 ) -> Tuple[
     Optional[AttributionReport], Optional[PhaseAuditReport], Dict[str, str]
@@ -75,7 +73,7 @@ def analyze(
         try:
             audit = audit_phases(
                 telemetry, topology, programs,
-                oracle=oracle, occupancy_tolerance=occupancy_tolerance,
+                occupancy_tolerance=occupancy_tolerance,
             )
             telemetry.phase_audit = audit.as_dict()
         except ReproError as exc:

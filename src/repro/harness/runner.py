@@ -25,7 +25,6 @@ from repro.obs.phase_audit import VERDICT_UNOBSERVED
 from repro.sim.executor import run_programs
 from repro.sim.params import NetworkParams
 from repro.topology.graph import Topology
-from repro.topology.paths import PathOracle
 
 
 @dataclass
@@ -142,7 +141,6 @@ def run_experiment(
     """
     if params is None:
         params = NetworkParams()
-    oracle = PathOracle(topology)
     result = ExperimentResult(name=name, topology=topology, params=params)
     n = topology.num_machines
     for workload in workloads:
@@ -162,7 +160,6 @@ def run_experiment(
                     programs,
                     workload.msize,
                     params.with_seed(seed),
-                    oracle=oracle,
                     check_delivery=check_delivery,
                     telemetry=telemetry and i == 0,
                     faults=faults,
@@ -174,8 +171,7 @@ def run_experiment(
                 if run.telemetry is not None:
                     link_stats = summarize_links(run.telemetry)
                     report, audit, _ = analyze(
-                        run.telemetry, topology, programs, algorithm.name,
-                        oracle=oracle,
+                        run.telemetry, topology, programs, algorithm.name
                     )
                     if report is not None:
                         attribution = report.as_dict(path=False)

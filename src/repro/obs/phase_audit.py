@@ -592,7 +592,6 @@ def audit_phases(
     *,
     msize: Optional[int] = None,
     occupancy_tolerance: float = DEFAULT_OCCUPANCY_TOLERANCE,
-    oracle: Optional[PathOracle] = None,
     analysis: Optional[ContentionReport] = None,
 ) -> PhaseAuditReport:
     """Join the static model with a run's telemetry, per phase.
@@ -614,10 +613,9 @@ def audit_phases(
             f"occupancy tolerance must be non-negative, "
             f"got {occupancy_tolerance}"
         )
-    if oracle is None:
-        oracle = PathOracle(topology)
     if analysis is None:
-        analysis = analyze_programs(topology, programs, msize, oracle=oracle)
+        analysis = analyze_programs(topology, programs, msize)
+    oracle = PathOracle(topology)
 
     # Predicted per (phase, edge): message counts and byte loads.
     predicted_bytes: Dict[Tuple[int, Edge], float] = {}

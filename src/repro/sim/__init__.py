@@ -23,14 +23,13 @@ from repro.sim.network import FlowNetwork, Flow
 from repro.sim.mpi import SimMPI, Request
 from repro.sim.executor import RunResult, run_programs
 from repro.obs.telemetry import RunTelemetry
-from repro.sim.gantt import phase_latency_table, render_rank_gantt
+from repro.sim.gantt import render_rank_gantt
 from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "Trace",
     "TraceRecord",
     "render_rank_gantt",
-    "phase_latency_table",
     "NetworkParams",
     "Engine",
     "SimEvent",

@@ -32,7 +32,6 @@ from repro.sim.network import FlowNetwork
 from repro.sim.params import NetworkParams
 from repro.sim.trace import Trace, TraceRecord
 from repro.topology.graph import Topology
-from repro.topology.paths import PathOracle
 
 if False:  # typing only — keep repro.sim import-light when faults are unused
     from repro.faults.plan import FaultPlan
@@ -95,7 +94,6 @@ def run_programs(
     msize: int,
     params: NetworkParams,
     *,
-    oracle: Optional[PathOracle] = None,
     trace: bool = False,
     telemetry: bool = False,
     max_trace_records: Optional[int] = None,
@@ -177,16 +175,14 @@ def run_programs(
         )
 
         faults.validate_against(topology)
-        if oracle is None:
-            oracle = PathOracle(topology)
         if bus is not None and telemetry:
             bus.subscribe(FaultWindow, fault_windows.append)
             for ev in (SyncDisrupted, SyncRetransmit, SyncAbandoned):
                 bus.subscribe(ev, sync_disruptions.append)
         injector = FaultInjector(
             faults,
+            topology,
             rng=random.Random(rng.getrandbits(64) ^ faults.seed),
-            oracle=oracle,
             bus=bus,
         )
         injector.publish_windows()
@@ -196,7 +192,7 @@ def run_programs(
             watchdog = WatchdogConfig()
 
     network = FlowNetwork(
-        engine, topology, params, oracle, link_bandwidths, bus=bus,
+        engine, topology, params, link_bandwidths, bus=bus,
         injector=injector,
     )
     mpi = SimMPI(engine, network, params, injector=injector, bus=bus)

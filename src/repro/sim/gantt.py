@@ -1,13 +1,12 @@
 """Text timelines from execution traces.
 
-Turns a :class:`~repro.sim.trace.Trace` into terminal-friendly views:
-
-* :func:`render_rank_gantt` — one row per rank, time binned across the
-  width, showing when each rank posts sends/receives, waits, and syncs.
-  The drift of unsynchronized phased algorithms — and the lockstep of
-  the pair-wise-synchronized schedule — is visible at a glance.
-* :func:`phase_latency_table` — per schedule phase: first activity,
-  last activity, span and record count of its phase-tagged records.
+Turns a :class:`~repro.sim.trace.Trace` into a terminal-friendly view:
+:func:`render_rank_gantt` draws one row per rank, time binned across
+the width, showing when each rank posts sends/receives, waits, and
+syncs.  The drift of unsynchronized phased algorithms — and the lockstep
+of the pair-wise-synchronized schedule — is visible at a glance.  The
+per-phase view of the same trace is
+:func:`repro.obs.phase_audit.phase_windows`.
 
 Legend for the gantt cells (when several events share a bin the most
 "interesting" wins, in this order):
@@ -21,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace
 from repro.units import seconds_to_ms
 
 #: Cell priority: later entries overwrite earlier ones within a bin.
@@ -95,31 +94,3 @@ def render_rank_gantt(
         lines.append(f"{rank:>{name_width}} |{body}|")
     return "\n".join(lines)
 
-
-def phase_latency_table(trace: Trace) -> str:
-    """Per-phase first/last activity, span and record count, in ms."""
-    # phase -> [first record time, last record time, record count]
-    rows: Dict[int, List[float]] = {}
-    for r in trace.records:
-        if r.phase < 0:
-            continue
-        row = rows.get(r.phase)
-        if row is None:
-            rows[r.phase] = [r.time, r.time, 1]
-        else:
-            row[0] = min(row[0], r.time)
-            row[1] = max(row[1], r.time)
-            row[2] += 1
-    if not rows:
-        raise ReproError("trace has no phase-tagged records")
-    lines = [
-        f"{'phase':>6} {'start ms':>10} {'end ms':>10} {'span ms':>9} {'ops':>6}"
-    ]
-    for phase in sorted(rows):
-        start, end, ops = rows[phase]
-        lines.append(
-            f"{phase:>6} {seconds_to_ms(start):>10.2f} "
-            f"{seconds_to_ms(end):>10.2f} {seconds_to_ms(end - start):>9.2f} "
-            f"{ops:>6}"
-        )
-    return "\n".join(lines)

@@ -124,7 +124,6 @@ class FlowNetwork:
         engine: Engine,
         topology: Topology,
         params: NetworkParams,
-        oracle: Optional[PathOracle] = None,
         link_bandwidths: Optional[Dict[Tuple[str, str], float]] = None,
         bus: Optional[EventBus] = None,
         injector=None,
@@ -143,7 +142,7 @@ class FlowNetwork:
         self.injector = injector
         self.topology = topology
         self.params = params
-        self.oracle = oracle if oracle is not None else PathOracle(topology)
+        self.oracle = PathOracle(topology)
         self._edge_bandwidth: Dict[Edge, float] = {}
         if link_bandwidths:
             for (u, v), bw in link_bandwidths.items():

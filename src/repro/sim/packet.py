@@ -80,7 +80,6 @@ class PacketNetwork:
         bandwidth: float,
         *,
         mtu: int = DEFAULT_MTU,
-        oracle: Optional[PathOracle] = None,
     ) -> None:
         if bandwidth <= 0:
             raise SimulationError("bandwidth must be positive")
@@ -90,7 +89,7 @@ class PacketNetwork:
         self.topology = topology
         self.bandwidth = bandwidth
         self.mtu = mtu
-        self.oracle = oracle if oracle is not None else PathOracle(topology)
+        self.oracle = PathOracle(topology)
         self._ports: Dict[Edge, _Port] = {
             e: _Port() for e in topology.directed_edges()
         }

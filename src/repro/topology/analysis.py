@@ -76,7 +76,6 @@ def aapc_edge_loads(topology: Topology) -> Dict[Edge, int]:
 def pattern_edge_loads(
     topology: Topology,
     messages: Iterable[Tuple[str, str]],
-    oracle: PathOracle = None,
 ) -> Dict[Edge, int]:
     """Load of every directed edge under an arbitrary message pattern.
 
@@ -84,8 +83,7 @@ def pattern_edge_loads(
     works for partial patterns (used to cross-check the closed form and
     to analyse baseline algorithms' per-step contention).
     """
-    if oracle is None:
-        oracle = PathOracle(topology)
+    oracle = PathOracle(topology)
     loads: Dict[Edge, int] = {edge: 0 for edge in topology.directed_edges()}
     for src, dst in messages:
         if src == dst:

@@ -3,13 +3,14 @@
 On a tree there is exactly one simple path between any two nodes, so the
 paper can speak of *the* path ``path(u, v)`` — the set of directed edges
 from ``u`` to ``v`` (Section 3).  :class:`PathOracle` answers those
-queries in O(path length) after a single BFS, and caches the directed
-edge sets that the contention checker asks for repeatedly.
+queries in O(path length) after a single BFS.  That BFS is cheap, so
+every consumer builds its own oracle from the topology it holds, and
+nothing is memoised per pair.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.graph import Edge, Topology
@@ -21,9 +22,9 @@ class PathOracle:
     The oracle roots the tree at an arbitrary node and records, with
     one BFS, each node's parent, depth and directed edges to and from
     the root.  Any path is then two tuple slices cut at the LCA depth:
-    the node's up-edges, then the other node's down-edges.  Edge-set
-    results are memoised because the contention-free verifier queries
-    the same machine pairs once per phase.
+    the node's up-edges, then the other node's down-edges.  Nothing is
+    cached per pair: a caller that queries a pair repeatedly keeps the
+    result itself.
 
     Example
     -------
@@ -44,7 +45,6 @@ class PathOracle:
         self._up: Dict[str, Tuple[Edge, ...]] = {}
         #: Directed edges from the root down to a node, root first.
         self._down: Dict[str, Tuple[Edge, ...]] = {}
-        self._edge_cache: Dict[Tuple[str, str], FrozenSet[Edge]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -111,15 +111,6 @@ class PathOracle:
         da = self._depth[self.lca(u, v)]
         return self._up[u][: self._depth[u] - da] + self._down[v][da:]
 
-    def path_edge_set(self, u: str, v: str) -> FrozenSet[Edge]:
-        """``path(u, v)`` as a frozenset of directed edges (memoised)."""
-        key = (u, v)
-        cached = self._edge_cache.get(key)
-        if cached is None:
-            cached = frozenset(self.path_edges(u, v))
-            self._edge_cache[key] = cached
-        return cached
-
     def hops(self, u: str, v: str) -> int:
         """Number of directed edges on ``path(u, v)``."""
         anc = self.lca(u, v)
@@ -133,8 +124,4 @@ class PathOracle:
         This is the paper's definition of *contention* between two
         messages.
         """
-        pa = self.path_edge_set(*a)
-        pb = self.path_edge_set(*b)
-        if len(pa) > len(pb):
-            pa, pb = pb, pa
-        return any(e in pb for e in pa)
+        return not set(self.path_edges(*a)).isdisjoint(self.path_edges(*b))

@@ -1,12 +1,17 @@
 """Tests for trace timelines and phase-overlap metrics."""
 
+import dataclasses
+from argparse import Namespace
+from types import SimpleNamespace
+
 import pytest
 
 from repro.algorithms import GeneratedAlltoall, get_algorithm
+from repro.cli import _gantt_view
 from repro.errors import ReproError
 from repro.sim.executor import run_programs
-from repro.obs.phase_audit import overlap_fraction, phase_windows
-from repro.sim.gantt import phase_latency_table, render_rank_gantt
+from repro.obs.phase_audit import overlap_fraction, phase_windows, windows_table
+from repro.sim.gantt import render_rank_gantt
 from repro.sim.params import NetworkParams
 from repro.sim.trace import Trace
 from repro.topology.builder import single_switch
@@ -105,7 +110,7 @@ class TestGantt:
 class TestPhaseMetrics:
     def test_latency_table(self, traced_run):
         _, result = traced_run
-        text = phase_latency_table(result.trace)
+        text = windows_table(phase_windows(result.trace))
         assert "phase" in text
         assert len(text.splitlines()) == 1 + 3  # header + 3 phases
 
@@ -116,20 +121,31 @@ class TestPhaseMetrics:
         trace.add(0.040, "n0", "waitall_done", phase=0)
         trace.add(0.050, "n0", "post_send", "n2", 2, 1)
         trace.add(0.120, "n0", "waitall_done", phase=1)
-        text = phase_latency_table(trace)
-        lines = text.splitlines()
+        windows = phase_windows(trace)
+        assert [(w.phase, w.start, w.end) for w in windows] == [
+            (0, 0.000, 0.040),
+            (1, 0.050, 0.120),
+        ]
+        lines = windows_table(windows).splitlines()
         assert len(lines) == 3  # header + 2 phases
-        assert "ops" in lines[0]
-        cols0 = lines[1].split()
-        assert cols0 == ["0", "0.00", "40.00", "40.00", "3"]
-        cols1 = lines[2].split()
-        assert cols1 == ["1", "50.00", "120.00", "70.00", "2"]
+        assert lines[1].split()[:3] == ["0", "0.00", "40.00"]
+        assert lines[2].split()[:3] == ["1", "50.00", "120.00"]
 
-    def test_no_phases_rejected(self):
+    def test_no_phases_rejected(self, traced_run):
+        """``gantt --phases`` refuses a trace without phase-tagged records."""
+        topo, result = traced_run
         trace = Trace()
         trace.add(0.0, "n0", "post_send")  # phase -1
+        assert phase_windows(trace) == []
+        run = SimpleNamespace(
+            topology=topo,
+            algorithm=GeneratedAlltoall(),
+            msize=kib(64),
+            result=dataclasses.replace(result, trace=trace),
+        )
+        view = _gantt_view(Namespace(phases=True, ranks=None, width=40))
         with pytest.raises(ReproError, match="phase-tagged"):
-            phase_latency_table(trace)
+            view.render(run)
 
     def test_overlap_fraction_range_and_contention_contrast(self):
         """Overlap is a pipelining metric in [0, 1]; contention is what

@@ -1027,7 +1027,7 @@ class TestObservedRunCommands:
         monkeypatch.setattr(observe_mod, "observe", spy)
         assert main(["gantt", "fig1", "--phases"]) == 0
         out = capsys.readouterr().out
-        assert "span ms" in out  # the per-phase latency table
+        assert "skew ms" in out  # the per-phase window table
         (kwargs,) = calls
         assert kwargs["trace"] is True and kwargs["telemetry"] is False
         assert not kwargs["analyses"]

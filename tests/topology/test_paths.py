@@ -69,10 +69,27 @@ class TestConflicts:
                         f"path({x},{y}) and path({y},{z}) share an edge"
                     )
 
-    def test_edge_set_memoised(self, oracle):
-        first = oracle.path_edge_set("n0", "n3")
-        second = oracle.path_edge_set("n0", "n3")
-        assert first is second
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_conflict_is_path_edge_intersection(self, seed, data):
+        """``messages_conflict`` is exactly "the two paths share a directed
+        edge", checked pair by pair against the node walks on random trees."""
+        topo = random_tree(
+            data.draw(st.integers(2, 10)), data.draw(st.integers(1, 4)), seed=seed
+        )
+        oracle = PathOracle(topo)
+        machines = list(topo.machines)
+        pairs = [(u, v) for u in machines for v in machines if u != v]
+
+        def walk(pair):
+            nodes = oracle.path_nodes(*pair)
+            return list(zip(nodes, nodes[1:]))
+
+        for a in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8)):
+            for b in pairs:
+                shared = any(e == f for e in walk(a) for f in walk(b))
+                assert oracle.messages_conflict(a, b) == shared
+                assert oracle.messages_conflict(b, a) == shared
 
 
 class TestPathProperties:
