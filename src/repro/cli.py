@@ -17,9 +17,6 @@ Subcommands mirror the workflow of the paper's routine generator:
   hot-path metrics (events/s, sim/wall ratio, flows in flight, ETA)
   while a simulation runs.
 * ``repro``    — regenerate a paper experiment table (Figures 6-8).
-* ``dash``     — self-contained static HTML dashboard generated from
-  the run ledger: completion/scheduler-runtime trends, attribution
-  stacks and hot-loop counters per topology fingerprint.
 * ``report``   — query the persistent run ledger: ``list`` / ``show`` /
   ``compare`` / ``regress`` (the CI perf gate).  Comparisons never mix
   runs from different fault partitions (clean vs chaos plans).
@@ -625,26 +622,10 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     return code
 
 
-def _cmd_dash(args: argparse.Namespace) -> int:
-    from repro.obs.dashboard import write_dashboard
-    from repro.obs.ledger import RunLedger
-
-    ledger = RunLedger(args.ledger_dir)
-    records = ledger.records()
-    if not records:
-        print(f"ledger {ledger.path} is empty; dashboard will be blank",
-              file=sys.stderr)
-    write_dashboard(records, args.out, title=args.title)
-    groups = len({r.topology_fingerprint for r in records})
-    print(
-        f"wrote dashboard {args.out} "
-        f"({len(records)} record(s), {groups} topology fingerprint(s))"
-    )
-    return 0
-
-
 def _parse_budgets(specs: Optional[List[str]]) -> Dict[str, float]:
     """``--budget residual=0.10`` / ``residual=10%`` → {"residual": 0.1}."""
+    from repro.obs.ledger import parse_threshold
+
     budgets: Dict[str, float] = {}
     for spec in specs or []:
         name, sep, value = spec.partition("=")
@@ -652,17 +633,7 @@ def _parse_budgets(specs: Optional[List[str]]) -> Dict[str, float]:
             raise ReproError(
                 f"--budget expects COMPONENT=FRACTION, got {spec!r}"
             )
-        try:
-            budgets[name] = (
-                float(value[:-1]) / 100.0
-                if value.endswith("%")
-                else float(value)
-            )
-        except ValueError:
-            raise ReproError(
-                f"--budget {spec!r}: {value!r} is not a fraction "
-                f"(use e.g. 0.10 or 10%)"
-            ) from None
+        budgets[name] = parse_threshold(value)
     return budgets
 
 
@@ -1126,6 +1097,7 @@ def _cmd_report_regress(args: argparse.Namespace) -> int:
         RunLedger,
         compare_records,
         ensure_same_fault_partition,
+        find_regressions,
         load_baseline,
         parse_threshold,
     )
@@ -1159,7 +1131,7 @@ def _cmd_report_regress(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    regressions = [d for d in deltas if d.ratio > 1.0 + threshold]
+    regressions = find_regressions(baseline, current, threshold)
     if args.json:
         import json
 
@@ -1193,54 +1165,6 @@ def _cmd_report_regress(args: argparse.Namespace) -> int:
         )
         return 1
     print("OK: all metrics within threshold")
-    return 0
-
-
-def _cmd_report_sentinel(args: argparse.Namespace) -> int:
-    """Anomaly sweep over the ledger's per-fingerprint time series."""
-    import json
-
-    from repro.errors import ReproError
-    from repro.obs.ledger import RunLedger, parse_threshold
-    from repro.obs.sentinel import run_sentinel
-
-    ledger = RunLedger(args.ledger_dir)
-    # Tolerant read: a history sweep should skip unreadable records
-    # (future schemas, mid-file damage) rather than refuse the scan.
-    records = ledger.records(skip_unreadable=True)
-    if args.fingerprint:
-        records = [
-            r for r in records
-            if r.topology_fingerprint.startswith(args.fingerprint)
-        ]
-    if not records:
-        print(f"sentinel: no readable records in {ledger.path}")
-        return 0
-    try:
-        report = run_sentinel(
-            records,
-            metrics=args.metrics,
-            z_threshold=args.z_threshold,
-            step_threshold=parse_threshold(args.step_threshold),
-            min_points=args.min_points,
-        )
-    except ReproError as exc:
-        print(f"report sentinel: {exc}", file=sys.stderr)
-        return 2
-    print(report.summary())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote sentinel report {args.json_out}")
-    if args.fail_on_anomaly and report.regressions:
-        print(
-            f"FAIL: {len(report.regressions)} regression anomal"
-            f"{'y' if len(report.regressions) == 1 else 'ies'} in "
-            f"ledger history",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -1419,21 +1343,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="show only the first N ranks")
     p.add_argument("--width", type=int, default=72)
     p.add_argument("--phases", action="store_true",
-                   help="also print the per-phase latency table")
-
-    p = sub.add_parser(
-        "dash", parents=[common],
-        help="self-contained HTML dashboard from the run ledger",
-    )
-    p.add_argument(
-        "--ledger-dir", default=None, metavar="DIR",
-        help="run-ledger directory (default: "
-             "$REPRO_AAPC_LEDGER_DIR or ~/.cache/repro-aapc/ledger)",
-    )
-    p.add_argument("-o", "--out", default="dashboard.html",
-                   help="output HTML path (default dashboard.html)")
-    p.add_argument("--title", default="repro-aapc ledger dashboard")
-    p.set_defaults(func=_cmd_dash)
+                   help="also print the per-phase window table")
 
     p = sub.add_parser(
         "stp", parents=[common],
@@ -1543,32 +1453,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "still reflects the gate)")
     p.set_defaults(func=_cmd_report_regress)
 
-    p = rsub.add_parser(
-        "sentinel", parents=[common, rdir],
-        help="anomaly sweep over ledger history: changepoint + robust-z "
-             "per (topology, algorithm, metric) series",
-    )
-    p.add_argument("--metrics", nargs="+", default=None,
-                   help="restrict to named metrics (default: completion "
-                        "time, scheduler runtime, sim wall, attribution "
-                        "components)")
-    p.add_argument("--fingerprint", default=None, metavar="PREFIX",
-                   help="only scan runs whose topology fingerprint starts "
-                        "with this prefix")
-    p.add_argument("--z-threshold", type=float, default=4.0,
-                   help="robust z-score above which a point is an outlier "
-                        "(default 4.0)")
-    p.add_argument("--step-threshold", default="50%",
-                   help="relative median shift that counts as a step "
-                        "change, e.g. 50%% or 0.5 (default 50%%)")
-    p.add_argument("--min-points", type=int, default=5,
-                   help="series shorter than this are skipped (default 5)")
-    p.add_argument("--json-out", default=None, metavar="FILE",
-                   help="write the schema-versioned sentinel report JSON")
-    p.add_argument("--fail-on-anomaly", action="store_true",
-                   help="exit non-zero when any regression anomaly is "
-                        "detected (CI gate)")
-    p.set_defaults(func=_cmd_report_sentinel)
     return parser
 
 

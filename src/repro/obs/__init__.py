@@ -30,16 +30,11 @@ makes the offline pipeline that produces it measurable:
 * :mod:`repro.obs.monitor` — live run monitor emitting periodic
   :class:`~repro.obs.metrics_registry.MetricsSnapshot` events
   (``repro-aapc top``, ``--stats-out``).
-* :mod:`repro.obs.dashboard` — self-contained static HTML dashboard
-  generated from the ledger (``repro-aapc dash``).
 * :mod:`repro.obs.phase_audit` — the phase observatory: observed
   phase windows (entry skew, sync wait, bottleneck rank, overlap), and
   the audit joining the static per-phase link-load model with observed
   flows to flag divergence, including contention inside certified
   contention-free phases (``repro-aapc phases``).
-* :mod:`repro.obs.sentinel` — changepoint/robust-z anomaly detection
-  over per-fingerprint ledger time series (``repro-aapc report
-  sentinel``).
 * :mod:`repro.obs.causal` — happens-before DAG reconstruction from the
   recorded events, critical-path extraction and per-flow/per-sync slack.
 * :mod:`repro.obs.attribution` — decomposition of the gap between the
@@ -88,8 +83,6 @@ _EXPORTS = {
     "MonitorConfig": "repro.obs.monitor",
     "RunMonitor": "repro.obs.monitor",
     "render_top_table": "repro.obs.monitor",
-    "render_dashboard": "repro.obs.dashboard",
-    "write_dashboard": "repro.obs.dashboard",
     "RunLedger": "repro.obs.ledger",
     "RunRecord": "repro.obs.ledger",
     "AlgorithmEntry": "repro.obs.ledger",
@@ -103,10 +96,6 @@ _EXPORTS = {
     "PhaseWindow": "repro.obs.phase_audit",
     "audit_phases": "repro.obs.phase_audit",
     "phase_windows": "repro.obs.phase_audit",
-    "SentinelAnomaly": "repro.obs.sentinel",
-    "SentinelReport": "repro.obs.sentinel",
-    "run_sentinel": "repro.obs.sentinel",
-    "extract_series": "repro.obs.sentinel",
     "CausalAnalysis": "repro.obs.causal",
     "PathSegment": "repro.obs.causal",
     "analyze": "repro.obs.causal",
@@ -171,7 +160,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         LinkMetricsReport,
         LinkReport,
     )
-    from repro.obs.dashboard import render_dashboard, write_dashboard
     from repro.obs.metrics_registry import (
         MetricsRegistry,
         MetricsSnapshot,
@@ -195,11 +183,5 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         PhaseWindow,
         audit_phases,
         phase_windows,
-    )
-    from repro.obs.sentinel import (
-        SentinelAnomaly,
-        SentinelReport,
-        extract_series,
-        run_sentinel,
     )
     from repro.obs.telemetry import EngineStats, RunTelemetry

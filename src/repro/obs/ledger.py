@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import time
@@ -112,8 +113,7 @@ class AlgorithmEntry:
     #: Condensed phase-observatory verdict
     #: (``PhaseAuditReport.summary_dict()``): per-phase predicted-vs-
     #: observed divergence counts and the contention-free certificate
-    #: check, kept per run so the dashboard can heatmap phase health
-    #: over history.
+    #: check, kept per run so ``report show`` carries phase health.
     phase_audit: Optional[Dict[str, object]] = None
 
     def as_dict(self) -> Dict[str, object]:
@@ -321,22 +321,15 @@ class RunLedger:
         )
         return self.path
 
-    def records(self, *, skip_unreadable: bool = False) -> List[RunRecord]:
+    def records(self) -> List[RunRecord]:
         """All records, oldest first.
 
         A corrupt or truncated *final* line — the signature of a crash
         or full disk mid-append — is skipped with a logged warning so
-        one bad shutdown does not brick the whole ledger.  By default,
-        corruption anywhere *before* the last line still raises: that
-        is not a torn append but real damage, and silently dropping
-        records would skew every later comparison.
-
-        With ``skip_unreadable=True`` (the sentinel's history scan),
-        every unreadable line — mid-file corruption *and* records from
-        a newer schema this version cannot parse — is skipped with a
-        warning instead: a time-series sweep over months of history
-        should degrade gracefully rather than refuse to look at
-        anything because one record is from the future.
+        one bad shutdown does not brick the whole ledger.  Corruption
+        anywhere *before* the last line, or a record from a newer
+        schema, raises: that is not a torn append but real damage, and
+        silently dropping records would skew every later comparison.
         """
         if not os.path.exists(self.path):
             return []
@@ -361,30 +354,10 @@ class RunLedger:
                         exc,
                     )
                     continue
-                if skip_unreadable:
-                    logger.warning(
-                        "ledger: skipping corrupt line %d in %s: %s",
-                        lineno,
-                        self.path,
-                        exc,
-                    )
-                    continue
                 raise ReproError(
                     f"corrupt ledger line {lineno} in {self.path}: {exc}"
                 ) from exc
-            try:
-                out.append(RunRecord.from_dict(data))
-            except ReproError as exc:
-                if skip_unreadable:
-                    logger.warning(
-                        "ledger: skipping unreadable record on line %d "
-                        "in %s: %s",
-                        lineno,
-                        self.path,
-                        exc,
-                    )
-                    continue
-                raise
+            out.append(RunRecord.from_dict(data))
         return out
 
     def find(self, ref: str, fault_fingerprint=_ANY_FAULT) -> RunRecord:
@@ -583,7 +556,7 @@ def find_regressions(
     *threshold* is a fraction (``0.05`` = 5%).  Both completion time
     and scheduler runtime are gated; lower is better for both.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # also rejects NaN
         raise ReproError(f"threshold must be non-negative, got {threshold}")
     return [
         d
@@ -593,11 +566,22 @@ def find_regressions(
 
 
 def parse_threshold(text: str) -> float:
-    """``"5%"`` → 0.05; ``"0.05"`` → 0.05."""
+    """``"5%"`` → 0.05; ``"0.05"`` → 0.05.
+
+    Every CLI gate fraction goes through here.  NaN, infinities and
+    negative values are rejected: ``x > nan`` is always false, so a NaN
+    threshold would silently pass every gate.
+    """
     text = text.strip()
     try:
-        if text.endswith("%"):
-            return float(text[:-1]) / 100.0
-        return float(text)
+        value = (
+            float(text[:-1]) / 100.0 if text.endswith("%") else float(text)
+        )
     except ValueError as exc:
         raise ReproError(f"bad threshold {text!r}; use e.g. '5%'") from exc
+    if not (math.isfinite(value) and value >= 0):
+        raise ReproError(
+            f"bad threshold {text!r}: must be a finite, non-negative "
+            f"fraction such as '5%'"
+        )
+    return value

@@ -601,8 +601,8 @@ def metric_observe(name: str, v: Number) -> None:
 def iter_hot_metric_names() -> Iterator[str]:
     """The instrument names the built-in hot layers register.
 
-    Documentation and the dashboard's counter-trend view key off this
-    list; it is advisory (a registry may hold more).
+    Documentation keys off this list; it is advisory (a registry may
+    hold more).
     """
     yield from (
         "engine.events_total",

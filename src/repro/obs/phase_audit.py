@@ -37,7 +37,7 @@ key and produces, per phase:
 ``divergences``, ``summary()`` table, schema-versioned ``as_dict()``
 and condensed ``summary_dict()`` (the form the ledger stores per
 algorithm entry) power the ``repro-aapc phases`` subcommand, the
-Perfetto divergence track and the dashboard's phase heatmap.
+Perfetto divergence track and the ledger's per-run phase verdict.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import Trace
 
 #: Version of the phase-audit report schema.  Bump on incompatible
-#: change; consumers (ledger summaries, dashboards) key on it.
+#: change; consumers (ledger summaries) key on it.
 PHASE_AUDIT_SCHEMA_VERSION = 1
 
 VERDICT_OK = "ok"
@@ -381,7 +381,7 @@ class PhaseAuditReport:
         Any Theorem violation fails outright; otherwise the worst
         occupancy deviation must stay within *max_divergence*.
         """
-        if max_divergence < 0:
+        if not max_divergence >= 0:  # also rejects NaN
             raise ReproError(
                 f"max divergence must be non-negative, got {max_divergence}"
             )
@@ -608,7 +608,7 @@ def audit_phases(
             "phase audit needs the per-block message size; pass msize= "
             "or use telemetry from an executor that records it"
         )
-    if occupancy_tolerance < 0:
+    if not occupancy_tolerance >= 0:  # also rejects NaN
         raise ReproError(
             f"occupancy tolerance must be non-negative, "
             f"got {occupancy_tolerance}"

@@ -203,6 +203,9 @@ class TestComparison:
         assert find_regressions(base, cur, 0.05) == []
         regs = find_regressions(base, cur, 0.03)
         assert [d.metric for d in regs] == ["completion_time_ms"]
+        for bad in (-0.01, float("nan")):
+            with pytest.raises(ReproError, match="non-negative"):
+                find_regressions(base, cur, bad)
 
     def test_scheduler_runtime_regression_detected(self):
         base = make_record(
@@ -227,6 +230,11 @@ class TestComparison:
         assert parse_threshold("5%") == pytest.approx(0.05)
         assert parse_threshold("0.05") == pytest.approx(0.05)
         assert parse_threshold(" 25% ") == pytest.approx(0.25)
+        assert parse_threshold("0") == 0.0
+        # A NaN threshold would pass every gate (x > nan is false).
+        for bad in ("nan", "NaN%", "inf", "-inf", "-5%", "-0.01"):
+            with pytest.raises(ReproError, match="finite, non-negative"):
+                parse_threshold(bad)
         with pytest.raises(ReproError):
             parse_threshold("five")
 
@@ -453,19 +461,19 @@ class TestFaultPartitions:
 
 
 class TestHistorySweeps:
-    """Edge cases for whole-history readers (sentinel, dashboard)."""
+    """Edge cases for reads over the whole ledger history."""
 
     def test_single_entry_history_is_healthy(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "led"))
         only = make_record(generated={"completion_time_ms": 70.0})
         ledger.append(only)
         assert ledger.find("latest").run_id == only.run_id
-        (loaded,) = ledger.records(skip_unreadable=True)
+        (loaded,) = ledger.records()
         assert loaded.run_id == only.run_id
 
-    def test_mixed_schema_versions_tolerant_read(self, tmp_path, caplog):
-        """A future-schema record aborts a strict read but is skipped
-        (with a warning) by the tolerant mode history sweeps use."""
+    def test_mixed_schema_versions_tolerant_read(self, tmp_path):
+        """A future-schema record mid-history aborts the read: there is
+        no tolerant mode that would silently drop it."""
         ledger = RunLedger(str(tmp_path / "led"))
         old = make_record(generated={"completion_time_ms": 1.0})
         ledger.append(old)
@@ -478,14 +486,11 @@ class TestHistorySweeps:
 
         with pytest.raises(ReproError, match="upgrade repro"):
             ledger.records()
-        with caplog.at_level("WARNING", logger="repro.obs.ledger"):
-            records = ledger.records(skip_unreadable=True)
-        assert [r.run_id for r in records] == [old.run_id, new.run_id]
-        assert any("skipping" in m for m in caplog.messages)
+        with pytest.raises(ReproError, match="upgrade repro"):
+            ledger.find("latest")
 
-    def test_tolerant_read_skips_corrupt_mid_file_line(
-        self, tmp_path, caplog
-    ):
+    def test_tolerant_read_skips_corrupt_mid_file_line(self, tmp_path):
+        """Mid-file damage is not a torn append: the read refuses it."""
         ledger = RunLedger(str(tmp_path / "led"))
         a = make_record(generated={"completion_time_ms": 1.0})
         ledger.append(a)
@@ -496,13 +501,10 @@ class TestHistorySweeps:
 
         with pytest.raises(ReproError, match="line 2"):
             ledger.records()
-        with caplog.at_level("WARNING", logger="repro.obs.ledger"):
-            records = ledger.records(skip_unreadable=True)
-        assert [r.run_id for r in records] == [a.run_id, b.run_id]
 
     def test_corrupt_trailing_line_and_find_latest(self, tmp_path, caplog):
         """A torn final append must not change which run is "latest":
-        the last *intact* record wins, in both read modes."""
+        the last *intact* record wins."""
         ledger = RunLedger(str(tmp_path / "led"))
         a = make_record(generated={"completion_time_ms": 1.0})
         b = make_record(generated={"completion_time_ms": 2.0})
@@ -512,6 +514,6 @@ class TestHistorySweeps:
             fh.write('{"schema": 1, "torn...')
         with caplog.at_level("WARNING", logger="repro.obs.ledger"):
             assert ledger.find("latest").run_id == b.run_id
-            tolerant = ledger.records(skip_unreadable=True)
-        assert [r.run_id for r in tolerant] == [a.run_id, b.run_id]
+            records = ledger.records()
+        assert [r.run_id for r in records] == [a.run_id, b.run_id]
         assert any("corrupt trailing line" in m for m in caplog.messages)

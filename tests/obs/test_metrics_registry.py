@@ -319,3 +319,14 @@ def test_hot_metric_names_cover_run_instruments(quiet_params):
     )
     assert registered <= known
     assert "engine.events_total" in registered
+
+
+def test_hot_metric_names_are_documented():
+    """The instrument table in docs/observability.md names every
+    instrument of :func:`iter_hot_metric_names`."""
+    import pathlib
+
+    docs = pathlib.Path(__file__).resolve().parents[2] / "docs"
+    text = (docs / "observability.md").read_text(encoding="utf-8")
+    missing = [n for n in iter_hot_metric_names() if f"`{n}`" not in text]
+    assert not missing, f"undocumented instruments: {missing}"

@@ -228,8 +228,9 @@ class TestGateAndReport:
         assert "exceeds" in problems[0]
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ReproError):
-            self._report([]).gate(-0.1)
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ReproError):
+                self._report([]).gate(bad)
 
     def test_phase_verdict_takes_the_worst_row(self):
         report = self._report([
@@ -253,7 +254,8 @@ class TestGateAndReport:
         result = run_programs(
             topo, programs, kib(16), quiet_params, telemetry=True
         )
-        with pytest.raises(ReproError):
-            audit_phases(
-                result.telemetry, topo, programs, occupancy_tolerance=-1.0
-            )
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ReproError):
+                audit_phases(
+                    result.telemetry, topo, programs, occupancy_tolerance=bad
+                )

@@ -667,7 +667,7 @@ class TestExplainCommand:
 
 
 class TestObservatory:
-    """Scale-observatory commands: --stats-out, top, dash, --trace-cap."""
+    """Scale-observatory commands: --stats-out, top, --trace-cap."""
 
     def test_simulate_stats_out_writes_snapshots(self, tmp_path, capsys):
         from repro.obs.metrics_registry import load_snapshots
@@ -727,29 +727,6 @@ class TestObservatory:
         assert "progress" in out
         assert "completed in" in out
         assert load_snapshots(stats)
-
-    def test_dash_writes_self_contained_html(self, tmp_path, capsys):
-        ledger_dir = str(tmp_path / "led")
-        out = str(tmp_path / "dash.html")
-        assert main(
-            ["simulate", "fig1", "--msize", "8KB",
-             "--ledger-dir", ledger_dir]
-        ) == 0
-        assert main(["dash", "--ledger-dir", ledger_dir, "-o", out]) == 0
-        assert "dash.html" in capsys.readouterr().out
-        html = open(out, encoding="utf-8").read()
-        assert html.startswith("<!DOCTYPE html>")
-        assert "<svg" in html
-        for forbidden in ("<script src=", "<link ", "fetch("):
-            assert forbidden not in html
-
-    def test_dash_empty_ledger_warns(self, tmp_path, capsys):
-        out = str(tmp_path / "dash.html")
-        assert main(
-            ["dash", "--ledger-dir", str(tmp_path / "empty"), "-o", out]
-        ) == 0
-        assert "empty" in capsys.readouterr().err
-        assert open(out, encoding="utf-8").read().startswith("<!DOCTYPE")
 
     def test_trace_cap_accepted_everywhere(self, tmp_path, capsys):
         trace = str(tmp_path / "t.json")
@@ -861,32 +838,34 @@ class TestPhasesCommand:
         assert "bad threshold" in capsys.readouterr().err
 
 
+def _seed_ledger(tmp_path, factor=2.0):
+    """Two runs in ``tmp_path/led``: 10 ms, then ``10 * factor`` ms."""
+    from repro.obs.ledger import AlgorithmEntry, RunLedger, RunRecord
+
+    ledger = RunLedger(str(tmp_path / "led"))
+    records = []
+    for ms in (10.0, 10.0 * factor):
+        record = RunRecord.new(
+            "simulate",
+            topology_spec="fig1",
+            topology_fingerprint="abc123",
+            num_machines=6,
+            msize=65536,
+            params={},
+            algorithms={
+                "generated": AlgorithmEntry(completion_time_ms=ms)
+            },
+        )
+        ledger.append(record)
+        records.append(record)
+    return ledger, records
+
+
 class TestReportJson:
-    def _seed_ledger(self, tmp_path, factor=2.0):
-        from repro.obs.ledger import AlgorithmEntry, RunLedger, RunRecord
-
-        ledger = RunLedger(str(tmp_path / "led"))
-        records = []
-        for ms in (10.0, 10.0 * factor):
-            record = RunRecord.new(
-                "simulate",
-                topology_spec="fig1",
-                topology_fingerprint="abc123",
-                num_machines=6,
-                msize=65536,
-                params={},
-                algorithms={
-                    "generated": AlgorithmEntry(completion_time_ms=ms)
-                },
-            )
-            ledger.append(record)
-            records.append(record)
-        return ledger, records
-
     def test_compare_json(self, tmp_path, capsys):
         import json
 
-        _, (a, b) = self._seed_ledger(tmp_path)
+        _, (a, b) = _seed_ledger(tmp_path)
         assert main([
             "report", "compare", "--ledger-dir", str(tmp_path / "led"),
             a.run_id, b.run_id, "--json",
@@ -901,7 +880,7 @@ class TestReportJson:
     def test_regress_json_flags_the_regression(self, tmp_path, capsys):
         import json
 
-        _, (a, b) = self._seed_ledger(tmp_path)
+        _, (a, b) = _seed_ledger(tmp_path)
         assert main([
             "report", "regress", "--ledger-dir", str(tmp_path / "led"),
             "--baseline", a.run_id, "--run", b.run_id,
@@ -916,7 +895,7 @@ class TestReportJson:
     def test_regress_json_ok_within_threshold(self, tmp_path, capsys):
         import json
 
-        _, (a, b) = self._seed_ledger(tmp_path, factor=1.01)
+        _, (a, b) = _seed_ledger(tmp_path, factor=1.01)
         assert main([
             "report", "regress", "--ledger-dir", str(tmp_path / "led"),
             "--baseline", a.run_id, "--run", b.run_id,
@@ -925,6 +904,43 @@ class TestReportJson:
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True
         assert data["regressions"] == 0
+
+
+class TestGateFractions:
+    """Every gate fraction must be finite and non-negative: ``x > nan``
+    is always false, so a NaN threshold would pass any gate."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "regress", "--threshold", "nan"],
+            ["phases", "fig1", "--no-ledger", "--max-divergence", "nan"],
+            ["phases", "fig1", "--no-ledger", "--tolerance=-5%"],
+            ["explain", "fig1", "--no-ledger", "--budget", "residual=nan"],
+        ],
+        ids=["regress-nan", "max-divergence-nan", "tolerance-negative",
+             "budget-nan"],
+    )
+    def test_bad_fraction_exits_2_before_simulating(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        import importlib
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated despite a bad gate fraction")
+
+        # The package re-exports the function under the module's name.
+        observe_module = importlib.import_module("repro.harness.observe")
+        monkeypatch.setattr(observe_module, "observe", no_run)
+        if argv[0] == "report":
+            # A 10 -> 100 ms regression: exit 1 at any finite threshold.
+            _, (a, b) = _seed_ledger(tmp_path, factor=10.0)
+            argv = argv + [
+                "--ledger-dir", str(tmp_path / "led"),
+                "--baseline", a.run_id, "--run", b.run_id,
+            ]
+        assert main(argv) == 2
+        assert "bad threshold" in capsys.readouterr().err
 
 
 class TestObservedRunCommands:
