@@ -10,8 +10,10 @@ the winner, and dispatch.
 :class:`AutoTunedAlltoall` does exactly that against the simulator:
 on first use for a message size it measures every candidate (a few
 seeded repetitions), remembers the fastest, and thereafter builds that
-winner's programs directly.  `examples/adaptive_selection.py` shows the
-resulting dispatch tables.
+winner's programs directly.  Cells are keyed on the topology's text
+serialization, so a content-equal topology object shares its cache
+entries.  `examples/adaptive_selection.py` shows the resulting dispatch
+tables.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.errors import ReproError
 from repro.sim.executor import run_programs
 from repro.sim.params import NetworkParams
 from repro.topology.graph import Topology
+from repro.topology.serialization import dumps_topology
 
 DEFAULT_CANDIDATES = ("bruck", "lam", "mpich", "generated")
 
@@ -48,15 +51,15 @@ class AutoTunedAlltoall(AlltoallAlgorithm):
         self.candidates = tuple(candidates)
         self.params = params if params is not None else NetworkParams()
         self.repetitions = repetitions
-        #: (topology id, msize) -> winning algorithm name
-        self._winners: Dict[Tuple[int, int], str] = {}
-        #: (topology id, msize) -> measured mean times per candidate
-        self.measurements: Dict[Tuple[int, int], Dict[str, float]] = {}
+        #: (topology text, msize) -> winning algorithm name
+        self._winners: Dict[Tuple[str, int], str] = {}
+        #: (topology text, msize) -> measured mean times per candidate
+        self.measurements: Dict[Tuple[str, int], Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     def tune(self, topology: Topology, msize: int) -> str:
         """Measure all candidates for this cell; cache and return the winner."""
-        key = (id(topology), msize)
+        key = (dumps_topology(topology), msize)
         if key in self._winners:
             return self._winners[key]
         times: Dict[str, float] = {}
@@ -77,7 +80,7 @@ class AutoTunedAlltoall(AlltoallAlgorithm):
 
     def selected(self, topology: Topology, msize: int) -> Optional[str]:
         """The cached winner for this cell, or None if not tuned yet."""
-        return self._winners.get((id(topology), msize))
+        return self._winners.get((dumps_topology(topology), msize))
 
     def build_programs(self, topology: Topology, msize: int) -> Dict[str, Program]:
         winner = self.tune(topology, msize)
@@ -89,9 +92,10 @@ class AutoTunedAlltoall(AlltoallAlgorithm):
 
     def dispatch_table(self, topology: Topology) -> List[Tuple[int, str]]:
         """(msize, winner) rows tuned so far for *topology*, size-sorted."""
+        text = dumps_topology(topology)
         rows = [
             (msize, winner)
-            for (topo_id, msize), winner in self._winners.items()
-            if topo_id == id(topology)
+            for (topo_text, msize), winner in self._winners.items()
+            if topo_text == text
         ]
         return sorted(rows)

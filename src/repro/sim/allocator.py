@@ -22,6 +22,13 @@ the active flow set (see :mod:`repro.sim.network` for the model):
   at most ``_VECTORIZE_EDGES`` edges runs the reference filler
   restricted to it; a wider one runs a numpy-vectorized waterfill.
 
+Both work on the network's integer edge ids (see
+:mod:`repro.sim.network`): dirty sets, closures and component edge
+lists are ids, and per-edge state is read from id-indexed lists.  The
+incremental solvers read each edge's largest in-flight size from the
+network's maintained value; the reference recomputes it by brute force
+at every solve, so it stays an independent oracle.
+
 Both allocators produce the same rate vector up to float rounding: the
 vectorized waterfill freezes the same share levels in the same order
 (component edges are scanned in the reference's global first-seen
@@ -34,12 +41,11 @@ differential suite's 1e-9 tolerance.  Pick one via
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.topology.graph import Edge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Flow, FlowNetwork
@@ -82,8 +88,9 @@ class BaseAllocator:
         self.full_solves = 0
 
     # -- dirty tracking ------------------------------------------------
-    def note_edges_dirty(self, edges: Iterable[Edge]) -> None:
-        """The flow set of *edges* changed since the last solve."""
+    def note_edges_dirty(self, eids: Iterable[int]) -> None:
+        """The flow set of the edges with ids *eids* changed since the
+        last solve."""
 
     def note_all_dirty(self) -> None:
         """Every edge must be re-solved (capacities changed globally)."""
@@ -126,11 +133,12 @@ class ReferenceAllocator(BaseAllocator):
         params = net.params
         injector = net.injector
         self.full_solves += 1
-        # Per-edge state: unfrozen flow count and available capacity.
-        unfrozen_count: Dict[Edge, int] = {}
-        available: Dict[Edge, float] = {}
+        # Per-edge state, keyed by edge id in first-seen order: unfrozen
+        # flow count and available capacity.
+        unfrozen_count: Dict[int, int] = {}
+        available: Dict[int, float] = {}
         touched = 0
-        for e, fids in net._edge_flows.items():
+        for e, fids in enumerate(net._edge_flows):
             n = len(fids)
             if n == 0:
                 continue
@@ -140,11 +148,11 @@ class ReferenceAllocator(BaseAllocator):
             capacity = params.effective_capacity(
                 n,
                 largest,
-                net._endpoint_edge[e],
-                line_bandwidth=net._edge_bandwidth.get(e),
+                net._edge_endpoint[e],
+                line_bandwidth=net._edge_line_bw[e],
             )
             if injector is not None:
-                capacity *= injector.link_factor(e, now)
+                capacity *= injector.link_factor(net._edges[e], now)
             available[e] = capacity
             if n > net.max_edge_multiplexing:
                 net.max_edge_multiplexing = n
@@ -156,7 +164,7 @@ class ReferenceAllocator(BaseAllocator):
         while remaining_flows > 0:
             iterations += 1
             # Find the tightest edge.
-            best_edge: Optional[Edge] = None
+            best_edge = -1
             best_share = float("inf")
             for e, count in unfrozen_count.items():
                 if count <= 0:
@@ -165,7 +173,7 @@ class ReferenceAllocator(BaseAllocator):
                 if share < best_share - 1e-15:
                     best_share = share
                     best_edge = e
-            if best_edge is None:
+            if best_edge < 0:
                 raise SimulationError(
                     "max-min allocation stalled with flows unassigned"
                 )
@@ -177,7 +185,7 @@ class ReferenceAllocator(BaseAllocator):
                 flow.rate = best_share
                 frozen.add(fid)
                 remaining_flows -= 1
-                for e in flow.edges:
+                for e in flow.eids:
                     unfrozen_count[e] -= 1
                     available[e] -= best_share
             unfrozen_count[best_edge] = 0
@@ -191,20 +199,19 @@ class IncrementalAllocator(BaseAllocator):
 
     def __init__(self, network: "FlowNetwork") -> None:
         super().__init__(network)
-        # Insertion-ordered so the component scan visits edges in the
-        # same relative order as the reference's global dict scan (Edge
-        # keys are string tuples whose *set* order would be
-        # hash-randomized per process; dicts are deterministic).
-        self._dirty_edges: Dict[Edge, None] = {}
+        #: Ids of edges whose flow set changed since the last collect.
+        self._dirty_edges: Set[int] = set()
         self._all_dirty = False
+        # Python-filler scratch, indexed by edge id and grown with the
+        # edge table: each solve writes only its own component's slots,
+        # so no per-solve allocation scales with the network's size.
+        self._unfrozen: List[int] = []
+        self._available: List[float] = []
 
     # -- dirty tracking ------------------------------------------------
-    def note_edges_dirty(self, edges: Iterable[Edge]) -> None:
-        if self._all_dirty:
-            return
-        dirty = self._dirty_edges
-        for e in edges:
-            dirty[e] = None
+    def note_edges_dirty(self, eids: Iterable[int]) -> None:
+        if not self._all_dirty:
+            self._dirty_edges.update(eids)
 
     def note_all_dirty(self) -> None:
         self._all_dirty = True
@@ -222,7 +229,7 @@ class IncrementalAllocator(BaseAllocator):
         dirty = self._dirty_edges
         if not dirty:
             return
-        self._dirty_edges = {}
+        self._dirty_edges = set()
         edge_flows = net._edge_flows
         flows = net._flows
         nflows = len(flows)
@@ -234,8 +241,8 @@ class IncrementalAllocator(BaseAllocator):
         # each edge once.  It stops once the scope holds every active
         # flow: the rest of the frontier cannot add anything (dense
         # workloads end here early).
-        seen: Set[Edge] = set()
-        paths: List[Iterable[Edge]] = [dirty]
+        seen: Set[int] = set()
+        paths: List[Iterable[int]] = [dirty]
         while paths and len(scope) < nflows:
             for e in paths.pop():
                 if e in seen:
@@ -245,7 +252,7 @@ class IncrementalAllocator(BaseAllocator):
                     if fid not in scope:
                         flow = flows[fid]
                         scope[fid] = flow
-                        paths.append(flow.edges)
+                        paths.append(flow.eids)
 
     def solve(
         self, scope: Dict[int, "Flow"], now: float
@@ -253,28 +260,19 @@ class IncrementalAllocator(BaseAllocator):
         if len(scope) == 1:
             return self._solve_single(next(iter(scope.values())), now)
         net = self.net
-        # Component edges in global first-seen order (= the reference
-        # scan order restricted to the component, so near-tie breaks
-        # agree).
-        order = net._edge_order
         edge_flows = net._edge_flows
-        touched = 0
+        # Component edge ids in ascending order: ids are first-seen
+        # ranks, so this is the reference scan order restricted to the
+        # component, and near-tie breaks agree.
         if len(scope) == len(net._flows):
             # Full-scope solve (dense regime): the component is every
-            # populated edge — take them straight from the first-seen
-            # registry instead of re-deriving the set from O(touched)
-            # flow-edge incidence.
-            comp_edges = [e for e in order if edge_flows[e]]
-            for flow in scope.values():
-                touched += len(flow.edges)
+            # populated edge.
+            comp_edges = [e for e, fids in enumerate(edge_flows) if fids]
         else:
-            edge_set: Dict[Edge, None] = {}
+            edge_set: Set[int] = set()
             for flow in scope.values():
-                fe = flow.edges
-                touched += len(fe)
-                for e in fe:
-                    edge_set[e] = None
-            comp_edges = sorted(edge_set, key=order.__getitem__)
+                edge_set.update(flow.eids)
+            comp_edges = sorted(edge_set)
         if len(comp_edges) <= _VECTORIZE_EDGES:
             return self._solve_python(scope, comp_edges, now)
         return self._solve_numpy(scope, comp_edges, now)
@@ -286,65 +284,70 @@ class IncrementalAllocator(BaseAllocator):
         """A lone flow gets the min capacity along its path (eta = 1).
 
         Contention-free schedules put **every** flow in this case, so
-        it avoids even the dict bookkeeping of the python filler.
+        it avoids even the bookkeeping of the python filler.
         """
         net = self.net
         params = net.params
         injector = net.injector
+        endpoint = net._edge_endpoint
+        line_bw = net._edge_line_bw
         size = flow.size
         best = float("inf")
-        for e in flow.edges:
+        for e in flow.eids:
             capacity = params.effective_capacity(
-                1,
-                size,
-                net._endpoint_edge[e],
-                line_bandwidth=net._edge_bandwidth.get(e),
+                1, size, endpoint[e], line_bandwidth=line_bw[e]
             )
             if injector is not None:
-                capacity *= injector.link_factor(e, now)
+                capacity *= injector.link_factor(net._edges[e], now)
             if capacity < best:
                 best = capacity
         flow.rate = best
         if net.max_edge_multiplexing < 1:
             net.max_edge_multiplexing = 1
-        return len(flow.edges), 1, 1
-
-    def _edge_capacity(self, e: Edge, n: int, largest: float, now: float) -> float:
-        net = self.net
-        capacity = net.params.effective_capacity(
-            n,
-            largest,
-            net._endpoint_edge[e],
-            line_bandwidth=net._edge_bandwidth.get(e),
-        )
-        if net.injector is not None:
-            capacity *= net.injector.link_factor(e, now)
-        return capacity
+        return len(flow.eids), 1, 1
 
     def _solve_python(
         self,
         scope: Dict[int, "Flow"],
-        comp_edges: List[Edge],
+        comp_edges: List[int],
         now: float,
     ) -> Tuple[int, int, int]:
         """The reference filler restricted to one small component."""
         net = self.net
+        params = net.params
+        injector = net.injector
         edge_flows = net._edge_flows
+        largest = net._edge_largest
+        endpoint = net._edge_endpoint
+        line_bw = net._edge_line_bw
         flows = net._flows
-        unfrozen_count: Dict[Edge, int] = {}
-        available: Dict[Edge, float] = {}
+        unfrozen = self._unfrozen
+        available = self._available
+        grow = len(edge_flows) - len(unfrozen)
+        if grow > 0:
+            unfrozen.extend([0] * grow)
+            available.extend([0.0] * grow)
+        # The component's populated edges, in first-seen order; each
+        # filling round drops the ones that froze.
+        live: List[int] = []
         touched = 0
+        peak = net.max_edge_multiplexing
         for e in comp_edges:
-            fids = edge_flows[e]
-            n = len(fids)
+            n = len(edge_flows[e])
             if n == 0:
                 continue
             touched += n
-            largest = max(flows[fid].size for fid in fids)
-            unfrozen_count[e] = n
-            available[e] = self._edge_capacity(e, n, largest, now)
-            if n > net.max_edge_multiplexing:
-                net.max_edge_multiplexing = n
+            capacity = params.effective_capacity(
+                n, largest[e], endpoint[e], line_bandwidth=line_bw[e]
+            )
+            if injector is not None:
+                capacity *= injector.link_factor(net._edges[e], now)
+            unfrozen[e] = n
+            available[e] = capacity
+            live.append(e)
+            if n > peak:
+                peak = n
+        net.max_edge_multiplexing = peak
         frozen: Set[int] = set()
         for flow in scope.values():
             flow.rate = 0.0
@@ -352,37 +355,41 @@ class IncrementalAllocator(BaseAllocator):
         iterations = 0
         while remaining_flows > 0:
             iterations += 1
-            best_edge: Optional[Edge] = None
+            best_edge = -1
             best_share = float("inf")
-            for e, count in unfrozen_count.items():
+            still: List[int] = []
+            for e in live:
+                count = unfrozen[e]
                 if count <= 0:
                     continue
+                still.append(e)
                 share = available[e] / count
                 if share < best_share - 1e-15:
                     best_share = share
                     best_edge = e
-            if best_edge is None:
+            live = still
+            if best_edge < 0:
                 raise SimulationError(
                     "max-min allocation stalled with flows unassigned"
                 )
-            for fid in list(edge_flows[best_edge]):
+            for fid in edge_flows[best_edge]:
                 if fid in frozen:
                     continue
                 flow = flows[fid]
                 flow.rate = best_share
                 frozen.add(fid)
                 remaining_flows -= 1
-                for e in flow.edges:
-                    unfrozen_count[e] -= 1
+                for e in flow.eids:
+                    unfrozen[e] -= 1
                     available[e] -= best_share
-            unfrozen_count[best_edge] = 0
+            unfrozen[best_edge] = 0
         return touched, iterations, iterations
 
     # -- vectorized waterfill ------------------------------------------
     def _solve_numpy(
         self,
         scope: Dict[int, "Flow"],
-        comp_edges: List[Edge],
+        comp_edges: List[int],
         now: float,
     ) -> Tuple[int, int, int]:
         net = self.net
@@ -398,7 +405,7 @@ class IncrementalAllocator(BaseAllocator):
 
         # Edge -> flows incidence (CSR), skipping emptied edges.
         get_local = local.__getitem__
-        edges: List[Edge] = []
+        edges: List[int] = []
         eptr: List[int] = [0]
         eidx: List[int] = []
         for e in comp_edges:
@@ -419,18 +426,19 @@ class IncrementalAllocator(BaseAllocator):
         # Vectorized effective_capacity: identical elementwise IEEE ops
         # to the scalar path in NetworkParams, so results match the
         # reference bit for bit.
-        sizes_local = np.fromiter(
-            (f.size for f in flow_list), dtype=np.float64, count=nflows
+        edge_largest = net._edge_largest
+        largest_arr = np.fromiter(
+            (edge_largest[e] for e in edges), dtype=np.float64, count=nedges
         )
-        largest_arr = np.maximum.reduceat(sizes_local[eidx_arr], eptr_arr[:-1])
+        edge_endpoint = net._edge_endpoint
         endpoint = np.fromiter(
-            (net._endpoint_edge[e] for e in edges), dtype=bool, count=nedges
+            (edge_endpoint[e] for e in edges), dtype=bool, count=nedges
         )
         raw = np.full(nedges, params.bandwidth, dtype=np.float64)
         if net._edge_bandwidth:
-            bw = net._edge_bandwidth
+            line_bw = net._edge_line_bw
             for i, e in enumerate(edges):
-                override = bw.get(e)
+                override = line_bw[e]
                 if override is not None:
                     raw[i] = override
         big_mask = largest_arr >= params.large_flow_threshold
@@ -450,14 +458,14 @@ class IncrementalAllocator(BaseAllocator):
         available = (raw * params.base_efficiency) * eta
         if injector is not None:
             for i, e in enumerate(edges):
-                available[i] *= injector.link_factor(e, now)
+                available[i] *= injector.link_factor(net._edges[e], now)
 
         # Flow -> edges incidence (CSR) for the freeze subtraction.
         get_edge_local = {e: i for i, e in enumerate(edges)}.__getitem__
         fptr_l: List[int] = [0]
         fidx_l: List[int] = []
         for flow in flow_list:
-            fidx_l.extend(map(get_edge_local, flow.edges))
+            fidx_l.extend(map(get_edge_local, flow.eids))
             fptr_l.append(len(fidx_l))
         fptr = np.asarray(fptr_l, dtype=np.int64)
         fidx = np.asarray(fidx_l, dtype=np.int64)

@@ -16,19 +16,31 @@ an edge whose flow set changed — flows elsewhere keep their rates,
 which max-min decomposition makes exact — while the ``reference``
 allocator re-runs the original full filling every time.
 
+The network keeps one **edge table**: a directed edge gets a dense int
+id the first time a flow crosses it, so ids are first-seen ranks and
+sorting them reproduces the reference scan order.  Per-edge solver
+state lives in lists indexed by id — the flow-id set, the endpoint
+flag, the bandwidth override, and a count of in-flight flow sizes with
+the largest one kept up to date — and each :class:`Flow` carries its
+path as ids (``eids``) next to the edge tuples (``edges``).  Edge
+tuples remain only at the boundaries: bus events, ``edge_bytes`` and
+the fault injector.
+
 Rate-change instants are *batched*: adds/removes/completions at the
 same instant coalesce into a single settle that runs at the end of the
 engine's same-timestamp batch (:meth:`Engine.defer`), which keeps both
 event counts and re-solve counts manageable when e.g. the LAM
-algorithm launches ~1000 flows at once.  Per-flow byte accounting is
-lazy — a flow's ``remaining`` is caught up only when its own rate
-changes, at its completion deadline, or via :meth:`sync_progress` —
-and completions come from a deadline heap with stale-entry
-invalidation instead of an O(flows) scan per settle.  Completed
-:class:`Flow` objects are always pooled and reused by later
-:meth:`start_flow` calls: a completed flow's fields stay readable
-until the object is reused, so a handle must not be kept past its
-completion callback.
+algorithm launches ~1000 flows at once.  A flow's ``remaining`` is
+caught up when it is re-solved, at its completion deadline, or via
+:meth:`sync_progress`; the bytes it moved collect in a per-flow
+``pending`` total that is folded into the byte ledgers
+(``bytes_delivered``/``edge_bytes``) only at completion and in
+:meth:`sync_progress`.  Completions come from a deadline heap with
+stale-entry invalidation, rebuilt whenever its entries would exceed
+twice the active flows.  Completed :class:`Flow` objects are always
+pooled and reused by later :meth:`start_flow` calls: a completed
+flow's fields stay readable until the object is reused, so a handle
+must not be kept past its completion callback.
 """
 
 from __future__ import annotations
@@ -59,9 +71,9 @@ class Flow:
     """One fluid transfer over a fixed directed path."""
 
     __slots__ = (
-        "fid", "src", "dst", "edges", "size", "remaining", "rate",
+        "fid", "src", "dst", "edges", "eids", "size", "remaining", "rate",
         "on_complete", "start_time", "end_time", "tag", "phase",
-        "gen", "updated", "drate",
+        "gen", "updated", "drate", "pending",
     )
 
     def __init__(
@@ -70,6 +82,7 @@ class Flow:
         src: str,
         dst: str,
         edges: Tuple[Edge, ...],
+        eids: Tuple[int, ...],
         nbytes: float,
         on_complete: Callable[["Flow"], None],
         start_time: float,
@@ -79,7 +92,8 @@ class Flow:
         #: Invalidates queued deadline entries when the rate changes.
         self.gen = 0
         self.reinit(
-            fid, src, dst, edges, nbytes, on_complete, start_time, tag, phase
+            fid, src, dst, edges, eids, nbytes, on_complete, start_time,
+            tag, phase,
         )
 
     def reinit(
@@ -88,6 +102,7 @@ class Flow:
         src: str,
         dst: str,
         edges: Tuple[Edge, ...],
+        eids: Tuple[int, ...],
         nbytes: float,
         on_complete: Callable[["Flow"], None],
         start_time: float,
@@ -99,6 +114,8 @@ class Flow:
         self.src = src
         self.dst = dst
         self.edges = edges
+        #: The same path as ids into the network's edge table.
+        self.eids = eids
         self.size = float(nbytes)
         self.remaining = float(nbytes)
         self.rate = 0.0
@@ -114,6 +131,8 @@ class Flow:
         #: (0.0 = no live entry).  A solve that lands on the same rate
         #: keeps the entry: the completion instant is unchanged.
         self.drate = 0.0
+        #: Bytes moved but not yet folded into the network's ledgers.
+        self.pending = 0.0
 
 
 class FlowNetwork:
@@ -157,16 +176,20 @@ class FlowNetwork:
                 self._edge_bandwidth[(u, v)] = bw
                 self._edge_bandwidth[(v, u)] = bw
         self._flows: Dict[int, Flow] = {}
-        self._edge_flows: Dict[Edge, Set[int]] = {}
-        #: First-seen rank per edge: the component solvers scan edges
-        #: in this order so tie-breaks match the reference's dict scan.
-        self._edge_order: Dict[Edge, int] = {}
-        # Endpoint edges (machine uplinks/downlinks) suffer the incast
-        # collapse; switch-to-switch trunks share fluidly.
-        self._endpoint_edge: Dict[Edge, bool] = {
-            (u, v): topology.is_machine(u) or topology.is_machine(v)
-            for u, v in topology.directed_edges()
-        }
+        # The edge table: id -> per-edge state, ids assigned in
+        # first-seen order so the solvers' id-sorted scans break ties
+        # like the reference's scan over every edge.
+        self._edge_id: Dict[Edge, int] = {}
+        self._edges: List[Edge] = []
+        self._edge_flows: List[Set[int]] = []
+        #: Endpoint edges (machine uplinks/downlinks) suffer the incast
+        #: collapse; switch-to-switch trunks share fluidly.
+        self._edge_endpoint: List[bool] = []
+        self._edge_line_bw: List[Optional[float]] = []
+        #: In-flight flow size -> count, and the largest such size
+        #: (0.0 on an idle edge), kept up to date per edge.
+        self._edge_sizes: List[Dict[float, int]] = []
+        self._edge_largest: List[float] = []
         self._next_fid = 0
         self._dirty = False
         self._allocator = make_allocator(params.allocator, self)
@@ -257,6 +280,10 @@ class FlowNetwork:
         edges = self.oracle.path_edges(src, dst)
         if not edges:
             raise SimulationError(f"no path from {src!r} to {dst!r}")
+        try:
+            eids = tuple(map(self._edge_id.__getitem__, edges))
+        except KeyError:
+            eids = tuple(map(self._register_edge, edges))
         now = self.engine.now
         fid = self._next_fid
         self._next_fid += 1
@@ -264,24 +291,28 @@ class FlowNetwork:
         if pool:
             flow = pool.pop()
             flow.reinit(
-                fid, src, dst, edges, nbytes, on_complete, now, tag, phase
+                fid, src, dst, edges, eids, nbytes, on_complete, now, tag,
+                phase,
             )
             self.flow_pool_reuses += 1
             if self._m_pool is not None:
                 self._m_pool.value += 1
         else:
             flow = Flow(
-                fid, src, dst, edges, nbytes, on_complete, now, tag, phase
+                fid, src, dst, edges, eids, nbytes, on_complete, now, tag,
+                phase,
             )
         self._flows[fid] = flow
         edge_flows = self._edge_flows
-        order = self._edge_order
-        for e in edges:
-            fids = edge_flows.get(e)
-            if fids is None:
-                edge_flows[e] = fids = set()
-                order[e] = len(order)
-            fids.add(fid)
+        edge_sizes = self._edge_sizes
+        largest = self._edge_largest
+        size = flow.size
+        for e in eids:
+            edge_flows[e].add(fid)
+            counts = edge_sizes[e]
+            counts[size] = counts.get(size, 0) + 1
+            if size > largest[e]:
+                largest[e] = size
         self.bytes_injected += nbytes
         if len(self._flows) > self.peak_concurrent_flows:
             self.peak_concurrent_flows = len(self._flows)
@@ -292,11 +323,11 @@ class FlowNetwork:
                     flow.tag, flow.phase,
                 )
             )
-            for e in edges:
+            for e, eid in zip(edges, eids):
                 self.bus.publish(
-                    LinkOccupancy(now, e, len(edge_flows[e]))
+                    LinkOccupancy(now, e, len(edge_flows[eid]))
                 )
-        self._allocator.note_edges_dirty(edges)
+        self._allocator.note_edges_dirty(eids)
         self._mark_dirty()
         return flow
 
@@ -320,10 +351,38 @@ class FlowNetwork:
         for flow in self._flows.values():
             if flow.updated != now:
                 self._advance_flow(flow, now)
+            self._fold_bytes(flow)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _register_edge(self, e: Edge) -> int:
+        """The id of edge *e*, appending it to the edge table if new."""
+        eid = self._edge_id.get(e)
+        if eid is None:
+            eid = self._edge_id[e] = len(self._edges)
+            u, v = e
+            topology = self.topology
+            self._edges.append(e)
+            self._edge_flows.append(set())
+            self._edge_endpoint.append(
+                topology.is_machine(u) or topology.is_machine(v)
+            )
+            self._edge_line_bw.append(self._edge_bandwidth.get(e))
+            self._edge_sizes.append({})
+            self._edge_largest.append(0.0)
+        return eid
+
+    def _fold_bytes(self, flow: Flow) -> None:
+        """Move *flow*'s pending bytes into the network's byte ledgers."""
+        moved = flow.pending
+        if moved:
+            flow.pending = 0.0
+            self.bytes_delivered += moved
+            edge_bytes = self.edge_bytes
+            for e in flow.edges:
+                edge_bytes[e] = edge_bytes.get(e, 0.0) + moved
+
     def _mark_dirty(self) -> None:
         if not self._dirty:
             self._dirty = True
@@ -336,8 +395,13 @@ class FlowNetwork:
         self._allocator.note_all_dirty()
         self._mark_dirty()
 
-    def _advance_flow(self, flow: Flow, now: float) -> None:
-        """Account bytes *flow* moved since its last catch-up."""
+    @staticmethod
+    def _advance_flow(flow: Flow, now: float) -> None:
+        """Drain the bytes *flow* moved since its last catch-up.
+
+        :meth:`_settle` inlines the same subtraction chain; the two
+        must stay identical, since ``remaining`` feeds the deadlines.
+        """
         dt = now - flow.updated
         if dt > 0.0 and flow.rate > 0.0:
             before = flow.remaining
@@ -345,11 +409,7 @@ class FlowNetwork:
             if after < 0.0:
                 after = 0.0
             flow.remaining = after
-            moved = before - after
-            self.bytes_delivered += moved
-            edge_bytes = self.edge_bytes
-            for e in flow.edges:
-                edge_bytes[e] = edge_bytes.get(e, 0.0) + moved
+            flow.pending += before - after
         flow.updated = now
 
     def _settle(self) -> None:
@@ -375,7 +435,18 @@ class FlowNetwork:
             due: List[Flow] = []
             for flow in scope.values():
                 if flow.updated != now:
-                    self._advance_flow(flow, now)
+                    # _advance_flow, inlined: this is the hottest loop.
+                    rate = flow.rate
+                    if rate > 0.0:
+                        dt = now - flow.updated
+                        if dt > 0.0:
+                            before = flow.remaining
+                            after = before - rate * dt
+                            if after < 0.0:
+                                after = 0.0
+                            flow.remaining = after
+                            flow.pending += before - after
+                    flow.updated = now
                 if flow.remaining <= _EPSILON_BYTES:
                     due.append(flow)
             if due:
@@ -386,6 +457,7 @@ class FlowNetwork:
         if self._m_inflight is not None:
             self._m_inflight.value = len(self._flows)
         if not scope:
+            self._push_deadlines([])
             return
         touched, iterations, saturated = alloc.solve(scope, now)
         if self._m_waterfill is not None:
@@ -396,7 +468,6 @@ class FlowNetwork:
             full_delta = alloc.full_solves - full_before
             if full_delta:
                 self._m_full.value += full_delta
-        deadlines = self._deadlines
         pushes: List[Tuple[float, int, int]] = []
         for flow in scope.values():
             rate = flow.rate
@@ -410,13 +481,23 @@ class FlowNetwork:
                 pushes.append((now + flow.remaining / rate, flow.fid, flow.gen))
             # rate == 0: frozen behind a failed link; a fault boundary
             # (recovery) or the stall watchdog wakes us.
-        if len(pushes) * 2 >= len(deadlines):
-            # Most of the heap just went stale (every re-rated flow's
-            # old entry has a lagging gen).  Rebuilding — live survivors
-            # plus the new entries, one O(n) heapify — is cheaper than
-            # n pushes into a stale-laden heap and also purges the
-            # garbage, keeping the heap near the live-flow count.
-            flows = self._flows
+        self._push_deadlines(pushes)
+        self._arm_timer()
+
+    def _push_deadlines(self, pushes: List[Tuple[float, int, int]]) -> None:
+        """Add *pushes* to the deadline heap, keeping it within twice
+        the active flows.
+
+        Stale entries (completed flows, superseded rates) are skipped
+        lazily when they surface.  Once the entries would exceed twice
+        the active flows, the heap is rebuilt from its live survivors
+        plus the new entries in one O(n) heapify instead.  Entries are
+        totally ordered by (deadline, fid, gen), so the live ones pop
+        in the same sequence from any heap layout.
+        """
+        deadlines = self._deadlines
+        flows = self._flows
+        if len(deadlines) + len(pushes) > 2 * len(flows):
             live = [
                 entry
                 for entry in deadlines
@@ -428,7 +509,6 @@ class FlowNetwork:
         else:
             for entry in pushes:
                 heapq.heappush(deadlines, entry)
-        self._arm_timer()
 
     def _arm_timer(self) -> None:
         """Schedule the completion timer for the earliest live deadline.
@@ -487,9 +567,9 @@ class FlowNetwork:
                 flow.remaining <= _EPSILON_BYTES
                 or flow.remaining <= flow.rate * _EPSILON_TIME
             ):
-                edges = flow.edges
+                eids = flow.eids
                 self._complete_flow(flow)
-                self._allocator.note_edges_dirty(edges)
+                self._allocator.note_edges_dirty(eids)
                 completed = True
             else:
                 # Fired a rounding step early: requeue and retry at the
@@ -507,8 +587,21 @@ class FlowNetwork:
         if self._flows.get(fid) is not flow:
             return  # already completed
         del self._flows[fid]
-        for e in flow.edges:
-            self._edge_flows[e].discard(fid)
+        edge_flows = self._edge_flows
+        edge_sizes = self._edge_sizes
+        largest = self._edge_largest
+        size = flow.size
+        for e in flow.eids:
+            edge_flows[e].discard(fid)
+            counts = edge_sizes[e]
+            left = counts[size] - 1
+            if left:
+                counts[size] = left
+            else:
+                del counts[size]
+                if size == largest[e]:
+                    largest[e] = max(counts) if counts else 0.0
+        self._fold_bytes(flow)
         flow.remaining = 0.0
         flow.rate = 0.0
         flow.gen += 1
@@ -521,9 +614,9 @@ class FlowNetwork:
                     flow.start_time, flow.tag, flow.phase,
                 )
             )
-            for e in flow.edges:
+            for e, eid in zip(flow.edges, flow.eids):
                 self.bus.publish(
-                    LinkOccupancy(now, e, len(self._edge_flows[e]))
+                    LinkOccupancy(now, e, len(edge_flows[eid]))
                 )
         flow.on_complete(flow)
         # Only after the callback: the handle it received must not

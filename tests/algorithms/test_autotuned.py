@@ -8,6 +8,7 @@ from repro.errors import ReproError
 from repro.sim.executor import run_programs
 from repro.sim.params import NetworkParams
 from repro.topology.builder import chain_of_switches, single_switch
+from repro.topology.serialization import dumps_topology
 from repro.units import kib
 
 
@@ -38,6 +39,16 @@ class TestTuning:
         assert dict(tuner.measurements) == measured
         assert tuner.selected(topo, kib(64)) is not None
 
+    def test_content_equal_topology_hits_cache(self, tuner, topo):
+        tuner.tune(topo, kib(64))
+        measured = dict(tuner.measurements)
+        copy = chain_of_switches([4, 4])
+        assert copy is not topo
+        assert tuner.selected(copy, kib(64)) == tuner.selected(topo, kib(64))
+        tuner.tune(copy, kib(64))
+        assert dict(tuner.measurements) == measured
+        assert tuner.dispatch_table(copy) == tuner.dispatch_table(topo)
+
     def test_untuned_cell_reports_none(self, tuner, topo):
         fresh = single_switch(4)
         assert tuner.selected(fresh, kib(8)) is None
@@ -45,7 +56,7 @@ class TestTuning:
 
     def test_measurements_cover_all_candidates(self, tuner, topo):
         tuner.tune(topo, kib(256))
-        times = tuner.measurements[(id(topo), kib(256))]
+        times = tuner.measurements[(dumps_topology(topo), kib(256))]
         assert set(times) == set(tuner.candidates)
         assert all(t > 0 for t in times.values())
 

@@ -97,9 +97,9 @@ def test_collect_scope_is_exactly_the_closure(seed, ops):
             for fid in rng.sample(active, min(count, len(active))):
                 # As the completion timer does: retire, then dirty.
                 flow = net._flows[fid]
-                edges = flow.edges
+                edges, eids = flow.edges, flow.eids
                 net._complete_flow(flow)
-                alloc.note_edges_dirty(edges)
+                alloc.note_edges_dirty(eids)
                 dirty.update(edges)
         else:
             alloc.note_all_dirty()

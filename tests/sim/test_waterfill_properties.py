@@ -15,6 +15,9 @@ instant:
   exceed injected bytes, and once every flow completed the two agree
   to float tolerance; per-edge transported bytes agree with per-flow
   sizes.
+* **Maintained state**: the network's per-edge flow sets and largest
+  in-flight sizes equal a brute-force recount from the active flows'
+  paths, and the deadline heap holds at most twice the active flows.
 * **Counter identity**: with a metrics registry active,
   ``network.resolves_total >= network.flow_set_changes`` — the settle
   loop consumes at least one re-solve per dirty transition — and both
@@ -84,12 +87,22 @@ def _build_scenario(seed, allocator):
     return engine, net, specs, done
 
 
+def _edge_flow_sets(net):
+    """Active flow ids per directed edge, recounted from flow paths."""
+    fids_by_edge = {}
+    for fid, flow in net._flows.items():
+        for e in flow.edges:
+            fids_by_edge.setdefault(e, set()).add(fid)
+    return fids_by_edge
+
+
 def _edge_capacity(net, e, fids, now):
     largest = max(net._flows[fid].size for fid in fids)
+    u, v = e
     cap = net.params.effective_capacity(
         len(fids),
         largest,
-        net._endpoint_edge[e],
+        net.topology.is_machine(u) or net.topology.is_machine(v),
         line_bandwidth=net._edge_bandwidth.get(e),
     )
     if net.injector is not None:
@@ -97,12 +110,25 @@ def _edge_capacity(net, e, fids, now):
     return cap
 
 
+def _check_maintained_state(net):
+    """The edge table and the deadline heap against a brute-force recount."""
+    fids_by_edge = _edge_flow_sets(net)
+    assert set(fids_by_edge) <= set(net._edges)
+    for flow in net._flows.values():
+        assert tuple(net._edges[eid] for eid in flow.eids) == flow.edges
+    for eid, e in enumerate(net._edges):
+        fids = fids_by_edge.get(e, set())
+        assert net._edge_flows[eid] == fids, f"edge {e} flow set"
+        largest = max((net._flows[fid].size for fid in fids), default=0.0)
+        assert net._edge_largest[eid] == largest, f"edge {e} largest size"
+    assert len(net._deadlines) <= 2 * len(net._flows)
+
+
 def _check_rate_invariants(net, now):
     """Capacity + max-min bottleneck certificate on the live rate vector."""
+    edge_flows = _edge_flow_sets(net)
     caps = {}
-    for e, fids in net._edge_flows.items():
-        if not fids:
-            continue
+    for e, fids in edge_flows.items():
         caps[e] = _edge_capacity(net, e, fids, now)
         rate_sum = sum(net._flows[fid].rate for fid in fids)
         assert rate_sum <= caps[e] * (1 + REL) + 1e-6, (
@@ -113,7 +139,7 @@ def _check_rate_invariants(net, now):
             continue
         has_bottleneck = False
         for e in flow.edges:
-            fids = net._edge_flows[e]
+            fids = edge_flows[e]
             rate_sum = sum(net._flows[fid].rate for fid in fids)
             saturated = rate_sum >= caps[e] * (1 - REL) - 1e-6
             if not saturated:
@@ -145,6 +171,7 @@ def _check_waterfill_invariants(seed, allocator):
         pause = random.Random(seed ^ 0xA5A5).uniform(1e-4, 5e-2)
         engine.run(until=pause)
         net.sync_progress()
+        _check_maintained_state(net)
         if net._flows:
             _check_rate_invariants(net, engine.now)
         assert net.bytes_delivered <= net.bytes_injected * (1 + REL)
