@@ -10,7 +10,8 @@ The ``slow``-marked tests extend the sweep to cluster scale: a 128-rank
 AAPC comparing the incremental allocator against the reference
 progressive filler (the two must agree rate-for-rate; the incremental
 one must be >= 5x faster), the paper's generated routine built at 512
-ranks inside a setup budget, and a 1024-rank AAPC whose simulation must
+ranks inside a setup budget and simulated inside a peak-RSS budget, and
+a 1024-rank AAPC whose simulation must
 finish inside a hard wall-clock budget.  The two simulated scale points land in a run-ledger record under ``out/ledger/`` with
 ``sim_wall_ms`` set, so CI gates the wall-clock trend with::
 
@@ -19,6 +20,7 @@ finish inside a hard wall-clock budget.  The two simulated scale points land in 
 """
 
 import os
+import resource
 import time
 from typing import Dict
 
@@ -51,6 +53,13 @@ BUDGET_1024_S = 240.0
 #: and the generator's cyclic-GC passes were made cheaper.
 BUDGET_GEN_512_S = 25.0
 
+#: How far simulating the 512-rank routine may raise the process's
+#: peak RSS over its post-build value.  Measured on a 2-vCPU / 8 GB
+#: container while every request formed a cycle with its event and
+#: drained match queues stayed allocated: +159 MB in a bare process,
+#: +95 MB in this test.  Both read 0 MB once the run frees them at once.
+BUDGET_GEN_512_SIM_MB = 64.0
+
 #: Acceptance floor for the incremental allocator at 128 ranks.
 MIN_SPEEDUP_128 = 5.0
 
@@ -58,6 +67,11 @@ MIN_SPEEDUP_128 = 5.0
 #: module; the 1024-rank test (defined last, so it runs last) folds
 #: them into one ledger record.
 _LEDGER_ENTRIES: Dict[str, AlgorithmEntry] = {}
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def cluster(n_machines):
@@ -173,11 +187,14 @@ def test_allocator_speedup_128rank(emit):
 
 @pytest.mark.slow
 def test_generated_512rank_setup_budget(emit):
-    """The paper's routine builds at 512 ranks inside the setup budget.
+    """The paper's routine builds at 512 ranks inside the setup budget,
+    and simulating it stays under the build's memory high-water mark.
 
     One ``build_programs`` call covers the whole generator: root,
     global schedule, assignment, verification, sync plan and program
     emission.  The phase count must still equal the bottleneck load.
+    The contention-free run that follows frees each request and flow as
+    it finishes, so it fits in what the build already took.
     """
     topo = cluster(512)
     algorithm = GeneratedAlltoall()
@@ -185,6 +202,13 @@ def test_generated_512rank_setup_budget(emit):
     programs = algorithm.build_programs(topo, AAPC_MSIZE)
     wall = time.perf_counter() - t0
     phases = algorithm.last_schedule.num_phases
+    built_mb = _peak_rss_mb()
+    t0 = time.perf_counter()
+    result = run_programs(
+        topo, programs, AAPC_MSIZE, NetworkParams(seed=AAPC_SEED)
+    )
+    sim_wall = time.perf_counter() - t0
+    sim_growth_mb = _peak_rss_mb() - built_mb
     emit(
         "generated_setup_512",
         "\n".join(
@@ -195,12 +219,20 @@ def test_generated_512rank_setup_budget(emit):
                 f"  phases:           {phases:>10d}",
                 f"  kept syncs:       {len(algorithm.last_sync_plan.syncs):>10d}",
                 f"  program ops:      {sum(len(p) for p in programs.values()):>10d}",
+                f"  sim wall clock:   {sim_wall:8.2f}s",
+                f"  peak RSS, built:  {built_mb:8.1f} MB",
+                f"  sim RSS growth:   {sim_growth_mb:8.1f} MB  (budget {BUDGET_GEN_512_SIM_MB:.0f} MB)",
             ]
         ),
     )
     assert phases == aapc_load(topo)
     assert wall <= BUDGET_GEN_512_S, (
         f"512-rank generator took {wall:.1f}s > {BUDGET_GEN_512_S:.0f}s budget"
+    )
+    assert result.max_edge_multiplexing == 1
+    assert sim_growth_mb <= BUDGET_GEN_512_SIM_MB, (
+        f"512-rank simulation raised peak RSS by {sim_growth_mb:.0f} MB "
+        f"> {BUDGET_GEN_512_SIM_MB:.0f} MB budget"
     )
 
 

@@ -23,7 +23,7 @@ Subcommands mirror the workflow of the paper's routine generator:
 
 ``simulate`` and the observation views (``trace``, ``explain``,
 ``phases``, ``gantt``, ``top``) are one observed run each
-(:func:`repro.harness.observe.observe`) rendered differently; each
+(:func:`repro.harness.observation.observe`) rendered differently; each
 records only what it reads.  They share ``--msize``, ``--seed``,
 ``--allocator`` and ``--metrics-out``, and all but ``trace`` (which
 has ``-o``) take ``--trace-out``: the metrics report and the Perfetto
@@ -285,13 +285,13 @@ def _observe(
 
     *needs* names what the caller reads beyond the completion time:
     ``"trace"`` (the per-rank trace alone) and the analyses of
-    :data:`repro.harness.observe.ANALYSES`, which imply the flight
+    :data:`repro.harness.observation.ANALYSES`, which imply the flight
     recorder.  ``--trace-out`` / ``--metrics-out`` also turn the
     recorder on, without adding analyses.  ``--stats-out`` streams the
     run's metrics snapshots to a JSONL file and *on_snapshot* (the
     ``top`` table) sees them live.
     """
-    from repro.harness.observe import ANALYSES, observe
+    from repro.harness.observation import ANALYSES, observe
     from repro.obs.ledger import parse_threshold
     from repro.obs.metrics_registry import SnapshotWriter
     from repro.obs.monitor import MonitorConfig

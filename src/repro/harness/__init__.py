@@ -12,7 +12,7 @@ from repro.harness.metrics import (
     peak_throughput_mbps,
     speedup,
 )
-from repro.harness.observe import ObservedRun, observe
+from repro.harness.observation import ObservedRun, observe
 from repro.harness.runner import ExperimentResult, MeasurementPoint, run_experiment
 from repro.harness.report import (
     completion_table,

@@ -19,7 +19,7 @@ from repro.harness.metrics import (
     completion_stats,
     summarize_links,
 )
-from repro.harness.observe import analyze
+from repro.harness.observation import analyze
 from repro.harness.workloads import Workload
 from repro.obs.phase_audit import VERDICT_UNOBSERVED
 from repro.sim.executor import run_programs

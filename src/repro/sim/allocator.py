@@ -80,6 +80,9 @@ class BaseAllocator:
     """Shared dirty-tracking interface driven by :class:`FlowNetwork`."""
 
     name = "base"
+    #: Whether a solve covers only the closure of the dirty edges, so a
+    #: change on edges that no flow crosses leaves nothing to re-solve.
+    scoped = False
 
     def __init__(self, network: "FlowNetwork") -> None:
         self.net = network
@@ -196,6 +199,7 @@ class IncrementalAllocator(BaseAllocator):
     """Dirty-component re-solve with a vectorized waterfill."""
 
     name = "incremental"
+    scoped = True
 
     def __init__(self, network: "FlowNetwork") -> None:
         super().__init__(network)

@@ -150,9 +150,13 @@ class Engine:
         done = self.event()
 
         def step(_sent: Any = None) -> None:
+            nonlocal step
             try:
                 yielded = generator.send(_sent)
             except StopIteration as stop:
+                # Drop the closure's reference to itself, so a finished
+                # process is freed by reference counting.
+                step = None
                 done.trigger(stop.value)
                 return
             if isinstance(yielded, SimEvent):

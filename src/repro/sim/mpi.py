@@ -34,7 +34,13 @@ from repro.sim.params import NetworkParams
 
 
 class Request:
-    """Handle for a pending send or receive."""
+    """Handle for a pending send or receive.
+
+    Its event fires without a value.  With the request as the value,
+    request and event would form a reference cycle; without it, a
+    finished request is freed by reference counting, never by the
+    cyclic collector.
+    """
 
     __slots__ = ("event", "kind", "rank", "peer", "tag", "nbytes", "blocks", "post_time", "arrival_event", "phase")
 
@@ -100,6 +106,8 @@ class SimMPI:
         self.params = params
         self.injector = injector
         self.bus = bus
+        # FIFO match queues; a key is deleted once its queue drains, so
+        # both tables hold only the operations still waiting.
         self._unmatched_sends: Dict[_MatchKey, Deque[Request]] = {}
         self._unmatched_recvs: Dict[_MatchKey, Deque[Request]] = {}
         # Barrier state: name -> (arrived events, release event)
@@ -150,7 +158,7 @@ class SimMPI:
         if mode in ("eager", "buffered"):
             # The transport buffers the whole message: the sender's
             # request completes at post time, independent of matching.
-            req.event.trigger(req)
+            req.event.trigger()
         if mode == "buffered":
             # The flow drains toward the receiver immediately (TCP
             # pushes without waiting for a posted receive); arrival is
@@ -158,10 +166,13 @@ class SimMPI:
             self._launch_buffered(req)
         key: _MatchKey = (rank, peer, tag, sync)
         recvs = self._unmatched_recvs.get(key)
-        if recvs:
-            self._matched(req, recvs.popleft(), sync)
-        else:
+        if recvs is None:
             self._unmatched_sends.setdefault(key, deque()).append(req)
+        else:
+            recv = recvs.popleft()
+            if not recvs:
+                del self._unmatched_recvs[key]
+            self._matched(req, recv, sync)
         return req
 
     def irecv(
@@ -179,10 +190,13 @@ class SimMPI:
         )
         key: _MatchKey = (peer, rank, tag, sync)
         sends = self._unmatched_sends.get(key)
-        if sends:
-            self._matched(sends.popleft(), req, sync)
-        else:
+        if sends is None:
             self._unmatched_recvs.setdefault(key, deque()).append(req)
+        else:
+            send = sends.popleft()
+            if not sends:
+                del self._unmatched_sends[key]
+            self._matched(send, req, sync)
         return req
 
     def _matched(self, send: Request, recv: Request, sync: bool) -> None:
@@ -194,7 +208,7 @@ class SimMPI:
             self._eager_transfer(send, recv, sync)
         elif mode == "buffered":
             assert send.arrival_event is not None
-            send.arrival_event.on_trigger(lambda _v: recv.event.trigger(recv))
+            send.arrival_event.on_trigger(lambda _v: recv.event.trigger())
         else:
             self._rendezvous_transfer(send, recv)
 
@@ -211,11 +225,11 @@ class SimMPI:
 
             def deliver() -> None:
                 retired.value += 1
-                recv.event.trigger(recv)
+                recv.event.trigger()
 
             self.engine.schedule(delay, deliver)
         else:
-            self.engine.schedule(delay, lambda: recv.event.trigger(recv))
+            self.engine.schedule(delay, recv.event.trigger)
 
     # ------------------------------------------------------------------
     # resilience protocol for sync messages (fault injection active)
@@ -293,7 +307,7 @@ class SimMPI:
                 self.pending_syncs.pop(key, None)
                 if self._m_syncs_retired is not None:
                     self._m_syncs_retired.value += 1
-                recv.event.trigger(recv)
+                recv.event.trigger()
 
         for arrival in arrivals:
             self.engine.schedule(max(0.0, arrival - self.engine.now), arrive)
@@ -304,7 +318,7 @@ class SimMPI:
         send.arrival_event = self.engine.event()
 
         def on_flow_done(_flow: Flow) -> None:
-            send.arrival_event.trigger(send)
+            send.arrival_event.trigger()
 
         def launch() -> None:
             self.network.start_flow(
@@ -319,8 +333,8 @@ class SimMPI:
         self.flows_started += 1
 
         def on_flow_done(_flow: Flow) -> None:
-            send.event.trigger(send)
-            recv.event.trigger(recv)
+            send.event.trigger()
+            recv.event.trigger()
 
         def launch() -> None:
             self.network.start_flow(
@@ -380,13 +394,12 @@ class SimMPI:
     # ------------------------------------------------------------------
     def assert_drained(self) -> None:
         """Raise if unmatched operations remain (deadlock diagnosis)."""
-        leftovers = [
-            (key, len(reqs))
-            for table in (self._unmatched_sends, self._unmatched_recvs)
-            for key, reqs in table.items()
-            if reqs
-        ]
-        if leftovers:
+        if self._unmatched_sends or self._unmatched_recvs:
+            leftovers = [
+                (key, len(reqs))
+                for table in (self._unmatched_sends, self._unmatched_recvs)
+                for key, reqs in table.items()
+            ]
             raise SimulationError(
                 f"unmatched operations at end of run: {leftovers[:10]}"
             )

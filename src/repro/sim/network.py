@@ -30,7 +30,10 @@ Rate-change instants are *batched*: adds/removes/completions at the
 same instant coalesce into a single settle that runs at the end of the
 engine's same-timestamp batch (:meth:`Engine.defer`), which keeps both
 event counts and re-solve counts manageable when e.g. the LAM
-algorithm launches ~1000 flows at once.  A flow's ``remaining`` is
+algorithm launches ~1000 flows at once.  A completion that leaves
+every edge of its path idle (a *lone-flow finish*) defers no settle
+at all under an allocator that re-solves only the dirty closure: that
+settle's scope would be empty.  A flow's ``remaining`` is
 caught up when it is re-solved, at its completion deadline, or via
 :meth:`sync_progress`; the bytes it moved collect in a per-flow
 ``pending`` total that is folded into the byte ledgers
@@ -550,7 +553,9 @@ class FlowNetwork:
         now = self.engine.now
         deadlines = self._deadlines
         flows = self._flows
-        completed = False
+        edge_flows = self._edge_flows
+        scoped = self._allocator.scoped
+        completed = lone = False
         while deadlines and deadlines[0][0] <= now + _EPSILON_TIME:
             d, fid, gen = heapq.heappop(deadlines)
             flow = flows.get(fid)
@@ -569,6 +574,11 @@ class FlowNetwork:
             ):
                 eids = flow.eids
                 self._complete_flow(flow)
+                if scoped and not any(map(edge_flows.__getitem__, eids)):
+                    # Lone-flow finish: no flow is left on its path, so
+                    # a settle would collect an empty scope.
+                    lone = True
+                    continue
                 self._allocator.note_edges_dirty(eids)
                 completed = True
             else:
@@ -580,6 +590,9 @@ class FlowNetwork:
                 break
         if completed:
             self._mark_dirty()
+        elif lone:
+            # No settle follows to keep the heap within its bound.
+            self._push_deadlines([])
         self._arm_timer()
 
     def _complete_flow(self, flow: Flow) -> None:
@@ -621,5 +634,7 @@ class FlowNetwork:
         flow.on_complete(flow)
         # Only after the callback: the handle it received must not
         # mutate under it.  The object stays readable (end_time, size,
-        # ...) until a later start_flow recycles it.
+        # ...) until a later start_flow recycles it, but drops the
+        # callback, whose closure holds the finished transfer's requests.
+        flow.on_complete = None
         self._pool.append(flow)

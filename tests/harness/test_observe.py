@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms import get_algorithm
 from repro.errors import ReproError
-from repro.harness.observe import observe
+from repro.harness.observation import observe
 from repro.obs.ledger import AlgorithmEntry
 from repro.sim.executor import run_programs
 from repro.topology.builder import chain_of_switches

@@ -924,14 +924,12 @@ class TestGateFractions:
     def test_bad_fraction_exits_2_before_simulating(
         self, argv, tmp_path, capsys, monkeypatch
     ):
-        import importlib
+        from repro.harness import observation
 
         def no_run(*args, **kwargs):
             raise AssertionError("simulated despite a bad gate fraction")
 
-        # The package re-exports the function under the module's name.
-        observe_module = importlib.import_module("repro.harness.observe")
-        monkeypatch.setattr(observe_module, "observe", no_run)
+        monkeypatch.setattr(observation, "observe", no_run)
         if argv[0] == "report":
             # A 10 -> 100 ms regression: exit 1 at any finite threshold.
             _, (a, b) = _seed_ledger(tmp_path, factor=10.0)
@@ -1029,18 +1027,16 @@ class TestObservedRunCommands:
     def test_gantt_records_only_the_trace(self, monkeypatch, capsys):
         """The timeline needs the per-rank trace, not the flight
         recorder or its analyses."""
-        import importlib
-
-        observe_mod = importlib.import_module("repro.harness.observe")
+        from repro.harness import observation
 
         calls = []
-        real = observe_mod.observe
+        real = observation.observe
 
         def spy(*args, **kwargs):
             calls.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(observe_mod, "observe", spy)
+        monkeypatch.setattr(observation, "observe", spy)
         assert main(["gantt", "fig1", "--phases"]) == 0
         out = capsys.readouterr().out
         assert "skew ms" in out  # the per-phase window table
@@ -1051,18 +1047,16 @@ class TestObservedRunCommands:
     def test_top_without_outputs_skips_the_flight_recorder(
         self, monkeypatch, capsys
     ):
-        import importlib
-
-        observe_mod = importlib.import_module("repro.harness.observe")
+        from repro.harness import observation
 
         runs = []
-        real = observe_mod.observe
+        real = observation.observe
 
         def spy(*args, **kwargs):
             runs.append(real(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(observe_mod, "observe", spy)
+        monkeypatch.setattr(observation, "observe", spy)
         assert main(["top", "fig1", "--msize", "8KB", "--no-tty"]) == 0
         capsys.readouterr()
         (run,) = runs
