@@ -10,7 +10,8 @@ The ``slow``-marked tests extend the sweep to cluster scale: a 128-rank
 AAPC comparing the incremental allocator against the reference
 progressive filler (the two must agree rate-for-rate; the incremental
 one must be >= 5x faster), the paper's generated routine built at 512
-ranks inside a setup budget and simulated inside a peak-RSS budget, and
+ranks inside setup and peak-RSS budgets and simulated inside a
+peak-RSS budget, and
 a 1024-rank AAPC whose simulation must
 finish inside a hard wall-clock budget.  The two simulated scale points land in a run-ledger record under ``out/ledger/`` with
 ``sim_wall_ms`` set, so CI gates the wall-clock trend with::
@@ -30,6 +31,7 @@ from repro.algorithms import GeneratedAlltoall, get_algorithm
 from repro.core.scheduler import schedule_aapc
 from repro.core.synchronization import build_sync_plan
 from repro.obs.ledger import AlgorithmEntry, RunLedger, RunRecord, topology_fingerprint
+from repro.obs.metrics_registry import MetricsRegistry
 from repro.sim.executor import run_programs
 from repro.sim.params import NetworkParams
 from repro.topology.analysis import aapc_load
@@ -52,6 +54,14 @@ BUDGET_1024_S = 240.0
 #: on a 2-vCPU / 8 GB container, down from 28 s before program emission
 #: and the generator's cyclic-GC passes were made cheaper.
 BUDGET_GEN_512_S = 25.0
+
+#: Peak RSS of the process once the 512-rank routine is built.  Measured
+#: on a 2-vCPU / 8 GB container while the chain index was a dense M x N
+#: int16 matrix (268 MB of it) and program validation counted sends and
+#: receives in two tables: 585 MB in this test, 508 MB in a bare
+#: process.  With the index kept to its live band and one netted table:
+#: 459 MB and 392 MB.  The budget leaves 17% headroom.
+BUDGET_GEN_512_BUILT_MB = 540.0
 
 #: How far simulating the 512-rank routine may raise the process's
 #: peak RSS over its post-build value.  Measured on a 2-vCPU / 8 GB
@@ -187,8 +197,9 @@ def test_allocator_speedup_128rank(emit):
 
 @pytest.mark.slow
 def test_generated_512rank_setup_budget(emit):
-    """The paper's routine builds at 512 ranks inside the setup budget,
-    and simulating it stays under the build's memory high-water mark.
+    """The paper's routine builds at 512 ranks inside the setup and
+    peak-RSS budgets, and simulating it stays under the build's memory
+    high-water mark.
 
     One ``build_programs`` call covers the whole generator: root,
     global schedule, assignment, verification, sync plan and program
@@ -198,9 +209,12 @@ def test_generated_512rank_setup_budget(emit):
     """
     topo = cluster(512)
     algorithm = GeneratedAlltoall()
+    registry = MetricsRegistry()
     t0 = time.perf_counter()
-    programs = algorithm.build_programs(topo, AAPC_MSIZE)
+    with registry.activate():
+        programs = algorithm.build_programs(topo, AAPC_MSIZE)
     wall = time.perf_counter() - t0
+    spans = registry.report()
     phases = algorithm.last_schedule.num_phases
     built_mb = _peak_rss_mb()
     t0 = time.perf_counter()
@@ -209,6 +223,7 @@ def test_generated_512rank_setup_budget(emit):
     )
     sim_wall = time.perf_counter() - t0
     sim_growth_mb = _peak_rss_mb() - built_mb
+    reduction = spans.span("transitive_reduction")
     emit(
         "generated_setup_512",
         "\n".join(
@@ -216,11 +231,16 @@ def test_generated_512rank_setup_budget(emit):
                 "512-rank generated routine, star_of_switches([128]*4):",
                 "",
                 f"  setup wall clock: {wall:8.2f}s  (budget {BUDGET_GEN_512_S:.0f}s)",
+                f"    verify:         {spans.total('verify_schedule'):8.2f}s",
+                f"    sync plan:      {spans.total('sync_plan'):8.2f}s",
+                f"      dependences:  {spans.total('dependence_graph'):8.2f}s",
+                f"      reduction:    {spans.total('transitive_reduction'):8.2f}s"
+                f"  (peak {reduction.counters['chain_index_peak_rows']} live index rows)",
                 f"  phases:           {phases:>10d}",
                 f"  kept syncs:       {len(algorithm.last_sync_plan.syncs):>10d}",
                 f"  program ops:      {sum(len(p) for p in programs.values()):>10d}",
                 f"  sim wall clock:   {sim_wall:8.2f}s",
-                f"  peak RSS, built:  {built_mb:8.1f} MB",
+                f"  peak RSS, built:  {built_mb:8.1f} MB  (budget {BUDGET_GEN_512_BUILT_MB:.0f} MB)",
                 f"  sim RSS growth:   {sim_growth_mb:8.1f} MB  (budget {BUDGET_GEN_512_SIM_MB:.0f} MB)",
             ]
         ),
@@ -228,6 +248,10 @@ def test_generated_512rank_setup_budget(emit):
     assert phases == aapc_load(topo)
     assert wall <= BUDGET_GEN_512_S, (
         f"512-rank generator took {wall:.1f}s > {BUDGET_GEN_512_S:.0f}s budget"
+    )
+    assert built_mb <= BUDGET_GEN_512_BUILT_MB, (
+        f"building the 512-rank routine peaked at {built_mb:.0f} MB RSS "
+        f"> {BUDGET_GEN_512_BUILT_MB:.0f} MB budget"
     )
     assert result.max_edge_multiplexing == 1
     assert sim_growth_mb <= BUDGET_GEN_512_SIM_MB, (

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ProgramError
 from repro.obs.metrics_registry import add_counters, pipeline_span
@@ -163,27 +163,22 @@ class Program:
 
 
 def validate_programs(programs: Dict[str, Program]) -> None:
-    """Static sanity checks: sends and receives pair up by (src, dst, tag)."""
-    sends: Counter = Counter()
-    recvs: Counter = Counter()
-    sync_send, sync_recv = OpKind.SYNC_SEND, OpKind.SYNC_RECV
+    """Static sanity checks: sends and receives pair up by (src, dst, tag).
+
+    One counter nets every send key against every receive key, so a
+    valid program set holds one table of keys, not two; only a mismatch
+    counts each side separately for the error text.
+    """
     for rank, prog in programs.items():
         if prog.rank != rank:
             raise ProgramError(
                 f"program keyed {rank!r} claims rank {prog.rank!r}"
             )
-        ops = prog.ops
-        sends.update(
-            (rank, op.peer, op.tag, op.kind is sync_send)
-            for op in ops
-            if op.kind in _SEND_KINDS
-        )
-        recvs.update(
-            (op.peer, rank, op.tag, op.kind is sync_recv)
-            for op in ops
-            if op.kind in _RECV_KINDS
-        )
-    if sends != recvs:
+    balance = Counter(_send_keys(programs))
+    balance.subtract(_recv_keys(programs))
+    if any(balance.values()):
+        sends = Counter(_send_keys(programs))
+        recvs = Counter(_recv_keys(programs))
         only_sends = {k: v for k, v in sends.items() if recvs.get(k) != v}
         only_recvs = {k: v for k, v in recvs.items() if sends.get(k) != v}
         raise ProgramError(
@@ -191,6 +186,28 @@ def validate_programs(programs: Dict[str, Program]) -> None:
             f"sends without recvs {list(only_sends)[:5]}, "
             f"recvs without sends {list(only_recvs)[:5]}"
         )
+
+
+#: A transfer's matching key: (src, dst, tag, is_sync).
+_MatchKey = Tuple[str, str, int, bool]
+
+
+def _send_keys(programs: Dict[str, Program]) -> Iterator[_MatchKey]:
+    """The matching key of every send."""
+    sync_send = OpKind.SYNC_SEND
+    for rank, prog in programs.items():
+        for op in prog.ops:
+            if op.kind in _SEND_KINDS:
+                yield (rank, op.peer, op.tag, op.kind is sync_send)
+
+
+def _recv_keys(programs: Dict[str, Program]) -> Iterator[_MatchKey]:
+    """The matching key of every receive."""
+    sync_recv = OpKind.SYNC_RECV
+    for rank, prog in programs.items():
+        for op in prog.ops:
+            if op.kind in _RECV_KINDS:
+                yield (op.peer, rank, op.tag, op.kind is sync_recv)
 
 
 def build_programs(

@@ -5,7 +5,8 @@ list of phases, each holding the contention-free messages executed in
 that phase, together with the topology and root decomposition that
 produced it.  It also distinguishes *global* messages (crossing the
 root) from *local* ones (within a subtree), which the reporting and
-ablation code cares about.
+ablation code cares about.  :meth:`PhasedSchedule.table` gives the
+same messages as integer arrays (:mod:`repro.core.message_table`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
+from repro.core.message_table import MessageTable, build_message_table
 from repro.core.pattern import Message
 from repro.core.root import RootInfo
 from repro.topology.graph import Topology
@@ -71,6 +73,7 @@ class PhasedSchedule:
             [] for _ in range(num_phases)
         ]
         self._by_message: Dict[Message, ScheduledMessage] = {}
+        self._table: Optional[MessageTable] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -95,6 +98,7 @@ class PhasedSchedule:
         sm = ScheduledMessage(message, phase, kind, group)
         self._phases[phase].append(sm)
         self._by_message[message] = sm
+        self._table = None
         return sm
 
     # ------------------------------------------------------------------
@@ -118,6 +122,15 @@ class PhasedSchedule:
 
     def __len__(self) -> int:
         return len(self._by_message)
+
+    def table(self) -> MessageTable:
+        """The messages as integer arrays, in :meth:`all_messages` order.
+
+        Built on first use and kept until the next :meth:`add`.
+        """
+        if self._table is None:
+            self._table = build_message_table(self.topology, self._phases)
+        return self._table
 
     def lookup(self, message: Message) -> ScheduledMessage:
         """Where a message was scheduled."""

@@ -1,8 +1,13 @@
 """Ground-truth schedule verification (the paper's Theorem, checked).
 
-These checkers work on the *real* tree — they recompute every message's
-path and count directed-edge usage — so they validate the scheduling
-pipeline independently of the two-level-view arguments used to build it.
+These checkers work on the *real* tree — they read every message's path
+from the schedule's integer table (:meth:`PhasedSchedule.table`) and
+count directed-edge usage — so they validate the scheduling pipeline
+independently of the two-level-view arguments used to build it.  Each
+check is one ``np.unique`` over integer keys: (phase, edge id) for
+contention, (phase, sender) and (phase, receiver) for endpoints, and
+``src * N + dst`` for completeness.  Only a failing check turns indices
+back into messages for its error text.
 
 * :func:`verify_contention_free` — within every phase no directed edge
   carries two messages (paper's definition of contention).
@@ -20,31 +25,91 @@ pipeline independently of the two-level-view arguments used to build it.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import AbstractSet, Dict, FrozenSet
+from typing import AbstractSet, FrozenSet, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import VerificationError
-from repro.core.pattern import Message, aapc_message_set
+from repro.core.message_table import MessageTable
+from repro.core.pattern import Message
 from repro.core.schedule import PhasedSchedule
 from repro.topology.analysis import aapc_load
-from repro.topology.graph import Edge
-from repro.topology.paths import PathOracle
+
+
+def _first_repeat(keys: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The earliest repeated key of *keys*, as ``(first, repeat)`` positions.
+
+    ``repeat`` is the lowest position whose key occurred before, and
+    ``first`` is where that key occurred first.  None when all differ.
+    """
+    counts = np.unique(keys, return_counts=True)[1]
+    if counts.max(initial=0) <= 1:
+        return None
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeats = np.flatnonzero(ordered[1:] == ordered[:-1]) + 1
+    repeat = repeats[np.argmin(order[repeats])]
+    first = np.searchsorted(ordered, ordered[repeat])
+    return int(order[first]), int(order[repeat])
+
+
+def _phase_edge_keys(table: MessageTable) -> np.ndarray:
+    """One ``(phase, edge id)`` key per path entry, in ``path_edges`` order."""
+    phases = np.repeat(table.phase.astype(np.int64), np.diff(table.path_ptr))
+    return phases * table.num_edge_ids + table.path_edges
 
 
 def verify_contention_free(schedule: PhasedSchedule) -> None:
     """Raise :class:`VerificationError` if any phase has edge contention."""
-    oracle = PathOracle(schedule.topology)
-    for p, phase in enumerate(schedule.phases()):
-        used: Dict[Edge, str] = {}
-        for sm in phase:
-            for edge in oracle.path_edges(sm.src, sm.dst):
-                holder = used.get(edge)
-                if holder is not None:
-                    raise VerificationError(
-                        f"phase {p}: messages {holder} and {sm.message} "
-                        f"contend on edge {edge}"
-                    )
-                used[edge] = str(sm.message)
+    table = schedule.table()
+    clash = _first_repeat(_phase_edge_keys(table))
+    if clash is not None:
+        first, repeat = clash
+        messages = schedule.all_messages()
+        holder = messages[table.owner_of(first)]
+        sm = messages[table.owner_of(repeat)]
+        raise VerificationError(
+            f"phase {sm.phase}: messages {holder.message} and {sm.message} "
+            f"contend on edge {table.edge(table.path_edges[repeat])}"
+        )
+
+
+def _pair_keys(table: MessageTable) -> np.ndarray:
+    """One ``src * N + dst`` key per message (``N`` machines)."""
+    return table.src.astype(np.int64) * table.num_machines + table.dst
+
+
+def _key_names(schedule: PhasedSchedule, keys: np.ndarray) -> List[str]:
+    """The messages of pair *keys*, as sorted strings."""
+    machines = schedule.topology.machines
+    n = len(machines)
+    return sorted(
+        str(Message(machines[k // n], machines[k % n])) for k in keys.tolist()
+    )
+
+
+def _verify_pair_keys(
+    schedule: PhasedSchedule, expected: np.ndarray, what: str
+) -> None:
+    """Raise unless the schedule's pair keys equal the sorted unique *expected*."""
+    keys = _pair_keys(schedule.table())
+    present, counts = np.unique(keys, return_counts=True)
+    if present.size < keys.size:
+        raise VerificationError(
+            f"duplicated messages: {_key_names(schedule, present[counts > 1])}"
+        )
+    if present.size == expected.size and np.array_equal(present, expected):
+        return
+    missing = np.setdiff1d(expected, present, assume_unique=True)
+    if missing.size:
+        raise VerificationError(
+            f"missing {missing.size} {what} message(s), e.g. "
+            f"{_key_names(schedule, missing)[:5]}"
+        )
+    extra = np.setdiff1d(present, expected, assume_unique=True)
+    raise VerificationError(
+        f"non-{what} messages scheduled: {_key_names(schedule, extra)[:5]}"
+    )
 
 
 def verify_pair_set(
@@ -54,27 +119,29 @@ def verify_pair_set(
 
     *what* names the pattern in the error text ("AAPC", "pending", ...).
     """
-    counts = Counter(sm.message for sm in schedule.all_messages())
-    dupes = sorted(str(m) for m, n in counts.items() if n > 1)
-    if dupes:
-        raise VerificationError(f"duplicated messages: {dupes}")
-    missing = expected - counts.keys()
-    if missing:
-        raise VerificationError(
-            f"missing {len(missing)} {what} message(s), e.g. "
-            f"{sorted(str(m) for m in missing)[:5]}"
+    rank = {m: i for i, m in enumerate(schedule.topology.machines)}
+    n = len(rank)
+    try:
+        keys = np.fromiter(
+            (rank[m.src] * n + rank[m.dst] for m in expected),
+            dtype=np.int64,
+            count=len(expected),
         )
-    extra = counts.keys() - expected
-    if extra:
+    except KeyError as exc:
         raise VerificationError(
-            f"non-{what} messages scheduled: "
-            f"{sorted(str(m) for m in extra)[:5]}"
-        )
+            f"{what} pattern names {exc.args[0]!r}, which is not a machine"
+        ) from None
+    _verify_pair_keys(schedule, np.sort(keys), what)
 
 
 def verify_complete(schedule: PhasedSchedule) -> None:
-    """Raise unless the schedule realises the AAPC pattern exactly once each."""
-    verify_pair_set(schedule, aapc_message_set(schedule.topology), "AAPC")
+    """Raise unless the schedule realises the AAPC pattern exactly once each.
+
+    The AAPC keys are every off-diagonal ``src * N + dst``.
+    """
+    n = schedule.topology.num_machines
+    keys = np.arange(n * n, dtype=np.int64)
+    _verify_pair_keys(schedule, keys[keys // n != keys % n], "AAPC")
 
 
 def verify_phase_count(schedule: PhasedSchedule) -> None:
@@ -102,22 +169,25 @@ def verify_phase_count(schedule: PhasedSchedule) -> None:
 
 def verify_endpoint_discipline(schedule: PhasedSchedule) -> None:
     """Raise unless each machine sends <= 1 and receives <= 1 per phase."""
-    for p, phase in enumerate(schedule.phases()):
-        senders: Dict[str, str] = {}
-        receivers: Dict[str, str] = {}
-        for sm in phase:
-            if sm.src in senders:
-                raise VerificationError(
-                    f"phase {p}: machine {sm.src} sends both "
-                    f"{senders[sm.src]} and {sm.message}"
-                )
-            if sm.dst in receivers:
-                raise VerificationError(
-                    f"phase {p}: machine {sm.dst} receives both "
-                    f"{receivers[sm.dst]} and {sm.message}"
-                )
-            senders[sm.src] = str(sm.message)
-            receivers[sm.dst] = str(sm.message)
+    table = schedule.table()
+    phases = table.phase.astype(np.int64) * table.num_machines
+    sends = _first_repeat(phases + table.src)
+    recvs = _first_repeat(phases + table.dst)
+    # A message's send is checked before its receive.
+    if sends is not None and (recvs is None or sends[1] <= recvs[1]):
+        messages = schedule.all_messages()
+        first, sm = messages[sends[0]], messages[sends[1]]
+        raise VerificationError(
+            f"phase {sm.phase}: machine {sm.src} sends both "
+            f"{first.message} and {sm.message}"
+        )
+    if recvs is not None:
+        messages = schedule.all_messages()
+        first, sm = messages[recvs[0]], messages[recvs[1]]
+        raise VerificationError(
+            f"phase {sm.phase}: machine {sm.dst} receives both "
+            f"{first.message} and {sm.message}"
+        )
 
 
 def verify_schedule(schedule: PhasedSchedule) -> None:
@@ -150,14 +220,21 @@ def verify_schedule_for_pairs(
     verify_endpoint_discipline(schedule)
     verify_contention_free(schedule)
     if forbidden_edges:
-        oracle = PathOracle(schedule.topology)
-        for sm in schedule.all_messages():
-            for u, v in oracle.path_edges(sm.src, sm.dst):
-                if frozenset((u, v)) in forbidden_edges:
-                    raise VerificationError(
-                        f"message {sm.message} (phase {sm.phase}) crosses "
-                        f"dead link {u}<->{v}"
-                    )
+        table = schedule.table()
+        dead = [
+            eid
+            for link in forbidden_edges
+            if len(link) == 2
+            for eid in table.link_ids(*link)
+        ]
+        crossing = np.flatnonzero(np.isin(table.path_edges, dead))
+        if crossing.size:
+            u, v = table.edge(table.path_edges[crossing[0]])
+            sm = schedule.all_messages()[table.owner_of(crossing[0])]
+            raise VerificationError(
+                f"message {sm.message} (phase {sm.phase}) crosses "
+                f"dead link {u}<->{v}"
+            )
 
 
 def max_edge_concurrency(schedule: PhasedSchedule) -> int:
@@ -167,13 +244,5 @@ def max_edge_concurrency(schedule: PhasedSchedule) -> int:
     (used by the ablation benchmarks) report how badly they overload
     links.
     """
-    oracle = PathOracle(schedule.topology)
-    worst = 0
-    for phase in schedule.phases():
-        counts: Dict[Edge, int] = {}
-        for sm in phase:
-            for edge in oracle.path_edges(sm.src, sm.dst):
-                counts[edge] = counts.get(edge, 0) + 1
-        if counts:
-            worst = max(worst, max(counts.values()))
-    return worst
+    counts = np.unique(_phase_edge_keys(schedule.table()), return_counts=True)[1]
+    return int(counts.max(initial=0))

@@ -466,14 +466,17 @@ def run_programs(
 
     for m in machines:
         engine.spawn(rank_process(m, programs[m]))
-    engine.run()
-    # Byte accounting is lazy per flow; catch up before anything below
-    # reads the ledgers (only matters when flows are still in flight —
-    # stalls, crashes).
-    network.sync_progress()
-    if run_monitor is not None:
-        run_monitor.emit()
-        run_monitor.stop()
+    try:
+        engine.run()
+        # Byte accounting is lazy per flow; catch up before anything
+        # below reads the ledgers (only matters when flows are still in
+        # flight — stalls, crashes).
+        network.sync_progress()
+        if run_monitor is not None:
+            run_monitor.emit()
+            run_monitor.stop()
+    finally:
+        network.close()
 
     unfinished = [
         m for m in machines if m not in rank_finish and m not in crashed

@@ -356,6 +356,16 @@ class FlowNetwork:
                 self._advance_flow(flow, now)
             self._fold_bytes(flow)
 
+    def close(self) -> None:
+        """Unlink the allocator once the run is over.
+
+        The allocator refers back to its network, so the two form a
+        cycle.  Cutting it lets reference counting free the network, its
+        engine and its pooled flows as soon as the caller drops them.
+        The counters stay readable; the network starts no more flows.
+        """
+        self._allocator.net = None
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.scheduler import schedule_aapc
+from repro.obs.metrics_registry import MetricsRegistry
 from repro.core.synchronization import (
     SyncMessage,
     SyncPlan,
@@ -258,7 +259,9 @@ class TestAgainstDenseReference:
 
 def test_sync_plan_memory_is_far_below_a_dense_closure():
     """128 ranks: a dense reachability closure alone takes M^2/8 bytes
-    (31.5 MiB); the chain-cover index takes M x N int16 (4 MiB)."""
+    (31.5 MiB), and a dense M x N int16 chain index 4 MiB.  The index
+    keeps only its live band, so the whole plan peaks at about 250
+    bytes per message (3.8 MiB)."""
     schedule = schedule_aapc(star_of_switches([32] * 4), verify=False)
     m = len(schedule)
     tracemalloc.start()
@@ -267,4 +270,23 @@ def test_sync_plan_memory_is_far_below_a_dense_closure():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < m * m / 8 / 2
+    assert peak < 512 * m
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [
+        pytest.param(lambda: star_of_switches([32] * 4), id="star-128"),
+        pytest.param(lambda: random_tree(160, 24, seed=5), id="random-160"),
+    ],
+)
+def test_chain_index_keeps_only_its_live_band(topology):
+    """About 2N rows of the chain index are live at once, never M."""
+    topo = topology()
+    schedule = schedule_aapc(topo, verify=False)
+    registry = MetricsRegistry()
+    with registry.activate():
+        build_sync_plan(schedule)
+    span = registry.report().span("transitive_reduction")
+    peak = span.counters["chain_index_peak_rows"]
+    assert 0 < peak <= 4 * topo.num_machines

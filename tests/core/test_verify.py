@@ -1,6 +1,10 @@
 """Tests that the verifiers actually catch broken schedules."""
 
+import re
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.pattern import Message, aapc_messages
 from repro.core.schedule import MessageKind, PhasedSchedule
@@ -14,7 +18,8 @@ from repro.core.verify import (
     verify_schedule,
 )
 from repro.errors import VerificationError
-from repro.topology.builder import single_switch, tree_from_spec
+from repro.topology.builder import random_tree, single_switch, tree_from_spec
+from repro.topology.paths import PathOracle
 
 
 @pytest.fixture
@@ -130,3 +135,82 @@ class TestMaxEdgeConcurrency:
 
     def test_empty_schedule(self, topo):
         assert max_edge_concurrency(empty_schedule(topo, 0)) == 0
+
+
+# ----------------------------------------------------------------------
+# The table-based checks against a brute-force per-phase count.
+def _uses(oracle, sm):
+    """What a message occupies in its phase: directed edges and endpoints."""
+    return [("edge", e) for e in oracle.path_edges(sm.src, sm.dst)] + [
+        ("sends", sm.src),
+        ("receives", sm.dst),
+    ]
+
+
+def _rebuilt(schedule, phase_of):
+    """A copy of *schedule* with message ``i`` placed at ``phase_of(i, sm)``."""
+    copy = PhasedSchedule(schedule.topology, schedule.num_phases, schedule.root_info)
+    for i, sm in enumerate(schedule.all_messages()):
+        copy.add(phase_of(i, sm), sm.message, sm.kind, sm.group)
+    return copy
+
+
+class TestTableVerify:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        nm=st.integers(3, 9),
+        ns=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_moved_message_fails_exactly_on_a_clash(self, seed, nm, ns, data):
+        """Move one message to another phase: verify raises exactly when a
+        brute-force count finds a shared edge or endpoint, and names the
+        moved message and one it clashes with."""
+        base = schedule_aapc(random_tree(nm, ns, seed=seed), verify=False)
+        messages = base.all_messages()
+        i = data.draw(st.integers(0, len(messages) - 1))
+        k = data.draw(st.integers(0, base.num_phases - 2))
+        target = k if k < messages[i].phase else k + 1
+        moved = _rebuilt(base, lambda j, sm: target if j == i else sm.phase)
+
+        oracle = PathOracle(moved.topology)
+        counts = Counter(
+            (sm.phase, use) for sm in moved.all_messages() for use in _uses(oracle, sm)
+        )
+        mover = messages[i]
+        mine = set(_uses(oracle, mover))
+        partners = {
+            str(sm.message)
+            for sm in moved.phase(target)
+            if sm.message != mover.message and mine & set(_uses(oracle, sm))
+        }
+        assert bool(partners) == (max(counts.values()) > 1)
+        if not partners:
+            verify_schedule(moved)
+            return
+        with pytest.raises(VerificationError) as err:
+            verify_schedule(moved)
+        named = re.findall(r"\w+->\w+", str(err.value))
+        assert len(named) == 2
+        assert str(mover.message) in named
+        assert set(named) - {str(mover.message)} <= partners
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), nm=st.integers(2, 8), ns=st.integers(1, 4))
+    def test_add_invalidates_the_table(self, seed, nm, ns):
+        """A table built before ``add()`` is not reused after it."""
+        base = schedule_aapc(random_tree(nm, ns, seed=seed), verify=False)
+        *kept, last = base.all_messages()
+        schedule = PhasedSchedule(base.topology, base.num_phases, base.root_info)
+        for sm in kept:
+            schedule.add(sm.phase, sm.message, sm.kind, sm.group)
+        table = schedule.table()
+        assert schedule.table() is table
+        with pytest.raises(VerificationError, match="missing 1 AAPC"):
+            verify_schedule(schedule)
+
+        schedule.add(last.phase, last.message, last.kind, last.group)
+        assert schedule.table() is not table
+        assert len(schedule.table()) == len(base)
+        verify_schedule(schedule)

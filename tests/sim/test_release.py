@@ -2,8 +2,9 @@
 
 Finished MPI requests and processes must be freed by reference
 counting (no cycle for the collector), drained match queues must not
-linger, and a flow that finishes alone on its path must not trigger a
-re-solve.  A flow that shares an edge still re-rates the survivor at
+linger, a finished run must leave its network, engine and pooled flows
+to reference counting too, and a flow that finishes alone on its path
+must not trigger a re-solve.  A flow that shares an edge still re-rates the survivor at
 the instant it finishes: ``test_network.TestSharing``'s
 ``test_released_capacity_speeds_up_survivor`` checks that path.
 """
@@ -18,7 +19,9 @@ from repro.sim import executor
 from repro.sim.engine import SimEvent
 from repro.sim.executor import run_programs
 from repro.sim.mpi import Request, SimMPI
+from repro.sim.network import Flow, FlowNetwork
 from repro.sim.params import NetworkParams
+from repro.topology.builder import star_of_switches
 from repro.units import kib
 
 
@@ -60,6 +63,24 @@ def test_generated_run_leaves_no_cyclic_garbage(small_star, drained):
     assert flows > 0
     assert sends == {}
     assert recvs == {}
+
+
+def test_finished_run_leaves_no_network_to_the_collector():
+    """LAM's contended run pools flows; the network and its allocator
+    refer to each other until the run ends, then nothing is cyclic."""
+    topo = star_of_switches([3, 3, 2])
+    programs = get_algorithm("lam").build_programs(topo, kib(64))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = run_programs(topo, programs, kib(64), NetworkParams(seed=0))
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, (Flow, FlowNetwork))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert result.max_edge_multiplexing > 1
+    assert leaked == []
 
 
 def test_contention_free_run_settles_once_per_flow(small_star, drained):
