@@ -11,51 +11,35 @@ the dispatch table a generated library would embed.
 Run:  python examples/adaptive_selection.py
 """
 
-from repro import NetworkParams, get_algorithm, run_programs
+from repro.algorithms.autotuned import AutoTunedAlltoall
 from repro.topology.builder import topology_c
+from repro.topology.serialization import dumps_topology
 from repro.units import format_size, kib, seconds_to_ms
 
-CANDIDATES = ("bruck", "lam", "mpich", "generated")
 SIZES = [256, kib(1), kib(4), kib(8), kib(16), kib(32), kib(64), kib(128), kib(256)]
-
-
-def measure(topo, params):
-    table = {}
-    for msize in SIZES:
-        row = {}
-        for name in CANDIDATES:
-            algorithm = get_algorithm(name)
-            programs = algorithm.build_programs(topo, msize)
-            # average two seeds, like the paper averages executions
-            samples = []
-            for seed in (0, 1):
-                run = run_programs(topo, programs, msize, params.with_seed(seed))
-                samples.append(run.completion_time)
-            row[name] = sum(samples) / len(samples)
-        table[msize] = row
-    return table
 
 
 def main() -> None:
     topo = topology_c()
-    params = NetworkParams()
+    # average two seeds per candidate, like the paper averages executions
+    tuner = AutoTunedAlltoall(repetitions=2)
     print("measuring MPI_Alltoall candidates on topology (c) "
           f"({topo.num_machines} machines, chain of {topo.num_switches} switches)\n")
-    table = measure(topo, params)
 
-    header = f"{'msize':>8}" + "".join(f"{n:>12}" for n in CANDIDATES) + "   best"
+    header = f"{'msize':>8}" + "".join(f"{n:>12}" for n in tuner.candidates) + "   best"
     print(header)
-    dispatch = []
-    for msize, row in table.items():
-        best = min(row, key=row.get)
-        dispatch.append((msize, best))
+    key = dumps_topology(topo)
+    for msize in SIZES:
+        best = tuner.tune(topo, msize)
+        row = tuner.measurements[(key, msize)]
         cells = "".join(
-            f"{seconds_to_ms(row[n]):>10.1f}ms" for n in CANDIDATES
+            f"{seconds_to_ms(row[n]):>10.1f}ms" for n in tuner.candidates
         )
         print(f"{format_size(msize):>8}{cells}   {best}")
 
     # Collapse runs of equal winners into threshold rules.
     print("\ngenerated dispatch table:")
+    dispatch = tuner.dispatch_table(topo)
     start = 0
     for i in range(1, len(dispatch) + 1):
         if i == len(dispatch) or dispatch[i][1] != dispatch[start][1]:

@@ -24,7 +24,6 @@ from repro.algorithms.base import AlltoallAlgorithm
 from repro.algorithms.registry import get_algorithm
 from repro.core.program import Program
 from repro.errors import ReproError
-from repro.sim.executor import run_programs
 from repro.sim.params import NetworkParams
 from repro.topology.graph import Topology
 from repro.topology.serialization import dumps_topology
@@ -62,17 +61,19 @@ class AutoTunedAlltoall(AlltoallAlgorithm):
         key = (dumps_topology(topology), msize)
         if key in self._winners:
             return self._winners[key]
-        times: Dict[str, float] = {}
-        for name in self.candidates:
-            algorithm = get_algorithm(name)
-            programs = algorithm.build_programs(topology, msize)
-            samples = [
-                run_programs(
-                    topology, programs, msize, self.params.with_seed(rep)
-                ).completion_time
-                for rep in range(self.repetitions)
-            ]
-            times[name] = sum(samples) / len(samples)
+        # imported lazily: the harness depends on the algorithms package
+        from repro.harness import Workload, run_experiment
+
+        result = run_experiment(
+            "autotune",
+            topology,
+            [get_algorithm(name) for name in self.candidates],
+            [Workload(msize, self.repetitions, 0)],
+            self.params,
+        )
+        times = {
+            name: p.mean_time for name, p in zip(self.candidates, result.points)
+        }
         winner = min(times, key=times.get)
         self._winners[key] = winner
         self.measurements[key] = times

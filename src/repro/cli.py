@@ -24,10 +24,10 @@ Subcommands mirror the workflow of the paper's routine generator:
 ``simulate`` and the observation views (``trace``, ``explain``,
 ``phases``, ``gantt``, ``top``) are one observed run each
 (:func:`repro.harness.observation.observe`) rendered differently; each
-records only what it reads.  They share ``--msize``, ``--seed``,
-``--allocator`` and ``--metrics-out``, and all but ``trace`` (which
-has ``-o``) take ``--trace-out``: the metrics report and the Perfetto
-trace are the same artifacts whichever command wrote them.
+records only what it reads.  They share ``--msize``, ``--seed`` and
+``--metrics-out``, and all but ``trace`` (which has ``-o``) take
+``--trace-out``: the metrics report and the Perfetto trace are the
+same artifacts whichever command wrote them.
 
 ``simulate``, ``explain``, ``phases``, ``repro``, ``campaign`` and
 ``chaos`` append a schema-versioned record to the run ledger
@@ -64,8 +64,7 @@ from repro.harness.report import (
     speedup_summary,
     throughput_table,
 )
-from repro.sim.executor import run_programs
-from repro.sim.params import ALLOCATORS, NetworkParams
+from repro.sim.params import NetworkParams
 from repro.topology.analysis import (
     aapc_load,
     bottleneck_edges,
@@ -112,10 +111,7 @@ def _load_faults(args: argparse.Namespace):
 
 def _make_params(args: argparse.Namespace) -> NetworkParams:
     """Network parameters from the common simulation flags."""
-    params = NetworkParams(
-        seed=args.seed,
-        allocator=getattr(args, "allocator", "incremental"),
-    )
+    params = NetworkParams(seed=args.seed)
     return params.without_noise() if getattr(args, "no_noise", False) else params
 
 
@@ -857,6 +853,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     from repro.faults.plan import load_fault_plan
     from repro.faults.runtime import run_resilient
+    from repro.harness import Workload, run_experiment
     from repro.obs.ledger import AlgorithmEntry, topology_fingerprint
 
     topo = _load_topology(args.topology)
@@ -871,13 +868,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         plan.validate_against(topo)
 
     # Fault-free baselines, one per algorithm.
-    baselines: Dict[str, float] = {}
-    for name in args.algorithms:
-        algorithm = get_algorithm(name)
-        programs = algorithm.build_programs(topo, msize)
-        baselines[name] = run_programs(
-            topo, programs, msize, params
-        ).completion_time
+    baseline = run_experiment(
+        "chaos-baseline",
+        topo,
+        [get_algorithm(name) for name in args.algorithms],
+        [Workload(msize, 1, params.seed)],
+        params,
+    )
+    baselines = {
+        name: p.mean_time for name, p in zip(args.algorithms, baseline.points)
+    }
 
     print(
         f"chaos sweep on {args.topology} ({topo.num_machines} machines), "
@@ -1200,10 +1200,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim_opts = argparse.ArgumentParser(add_help=False)
     sim_opts.add_argument("--seed", type=int, default=0)
-    sim_opts.add_argument(
-        "--allocator", default="incremental", choices=list(ALLOCATORS),
-        help="max-min rate solver (identical results; speed only)",
-    )
     # Flags of every observed run (simulate and the observation views);
     # the smaller parents below go only to the commands that read them.
     run_opts = argparse.ArgumentParser(add_help=False, parents=[sim_opts])

@@ -311,7 +311,6 @@ def run_resilient(
     repair: bool = True,
     relax_contention_budget: float = RELAX_CONTENTION_BUDGET,
     telemetry: bool = False,
-    check_delivery: bool = True,
     max_trace_records: Optional[int] = None,
 ) -> ResilientResult:
     """Run *algorithm* under *faults*, degrading gracefully when it cannot finish.
@@ -348,7 +347,6 @@ def run_resilient(
             faults=plan,
             watchdog=watchdog,
             telemetry=telemetry,
-            check_delivery=check_delivery,
             max_trace_records=max_trace_records,
             expected_blocks=expected_blocks,
         )

@@ -14,13 +14,15 @@ Used by ``benchmarks/bench_campaign_random.py`` and directly::
 
 from __future__ import annotations
 
+import random
 import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms import get_algorithm
 from repro.errors import ReproError
-from repro.sim.executor import run_programs
+from repro.harness.runner import run_experiment
+from repro.harness.workloads import Workload
 from repro.sim.params import NetworkParams
 from repro.topology.analysis import aapc_load
 from repro.topology.builder import random_tree
@@ -114,40 +116,29 @@ def run_campaign(
     """
     if num_topologies < 1:
         raise ReproError("need at least one topology")
-    if params is None:
-        params = NetworkParams()
-    import random as _random
-
+    workloads = [Workload(msize, repetitions, 0)]
     summary = CampaignSummary(msize=msize, algorithms=tuple(algorithms))
     for i in range(num_topologies):
         seed = base_seed + i
-        shape_rng = _random.Random(seed)
+        shape_rng = random.Random(seed)
         nm = shape_rng.randint(*machines_range)
         ns = shape_rng.randint(*switches_range)
         topo = random_tree(nm, ns, seed=seed)
-        times: Dict[str, float] = {}
-        phases = 0
-        for name in algorithms:
-            algorithm = get_algorithm(name)
-            programs = algorithm.build_programs(topo, msize)
-            schedule = getattr(algorithm, "last_schedule", None)
-            if name == "generated" and schedule is not None:
-                phases = schedule.num_phases
-            samples = [
-                run_programs(
-                    topo, programs, msize, params.with_seed(rep)
-                ).completion_time
-                for rep in range(repetitions)
-            ]
-            times[name] = sum(samples) / len(samples)
+        instances = {name: get_algorithm(name) for name in algorithms}
+        result = run_experiment(
+            f"campaign-{seed}", topo, list(instances.values()), workloads, params
+        )
+        schedule = getattr(instances.get("generated"), "last_schedule", None)
         summary.rows.append(
             CampaignRow(
                 seed=seed,
                 num_machines=nm,
                 num_switches=ns,
                 load=aapc_load(topo),
-                phases=phases,
-                times=times,
+                phases=schedule.num_phases if schedule is not None else 0,
+                times={
+                    name: p.mean_time for name, p in zip(instances, result.points)
+                },
             )
         )
     return summary

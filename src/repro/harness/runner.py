@@ -1,8 +1,10 @@
 """Run experiment grids: topology x algorithm x workload, with repetitions.
 
-:func:`run_experiment` is the workhorse behind every benchmark: it
-builds each algorithm's programs once per message size, simulates each
-seeded repetition, and returns a queryable :class:`ExperimentResult`.
+:func:`run_experiment` is the one build-and-simulate loop: it builds
+each algorithm's programs once per message size, simulates each seeded
+repetition, and returns a queryable :class:`ExperimentResult`.  The
+paper experiments, the random-topology campaign, the auto-tuner and
+the chaos sweep's fault-free baselines all average through it.
 """
 
 from __future__ import annotations
@@ -122,7 +124,6 @@ def run_experiment(
     workloads: Sequence[Workload],
     params: Optional[NetworkParams] = None,
     *,
-    check_delivery: bool = True,
     telemetry: bool = False,
     faults=None,
     max_trace_records: Optional[int] = None,
@@ -160,7 +161,6 @@ def run_experiment(
                     programs,
                     workload.msize,
                     params.with_seed(seed),
-                    check_delivery=check_delivery,
                     telemetry=telemetry and i == 0,
                     faults=faults,
                     max_trace_records=max_trace_records,
@@ -190,9 +190,10 @@ def run_experiment(
                     min_time=lo,
                     max_time=hi,
                     samples=samples,
+                    # A one-rank cluster moves nothing and finishes at 0.
                     throughput_mbps=aggregate_throughput_mbps(
                         n, workload.msize, mean
-                    ),
+                    ) if mean > 0 else 0.0,
                     peak_concurrent_flows=peak_flows,
                     max_edge_multiplexing=max_mux,
                     link_stats=link_stats,

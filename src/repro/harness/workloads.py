@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.errors import ReproError
 from repro.units import kib
 
 #: The msize column of the paper's tables (Figures 6-8, part (a)).
@@ -28,6 +29,10 @@ class Workload:
     repetitions: int = 3
     #: Base seed; repetition ``r`` uses ``seed + r``.
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.repetitions < 1:
+            raise ReproError(f"need at least one repetition, got {self.repetitions}")
 
     def seeds(self) -> List[int]:
         return [self.seed + r for r in range(self.repetitions)]

@@ -506,7 +506,11 @@ class IncrementalAllocator(BaseAllocator):
             crossing = _ragged_gather(eptr_arr, eidx_arr, tied)
             crossing = crossing[unfrozen[crossing]]
             if crossing.size:
-                new = np.unique(crossing)
+                # Sorted distinct flows: sort plus an adjacent-difference
+                # mask, several times faster here than np.unique.
+                crossing.sort()
+                first = np.concatenate(([True], crossing[1:] != crossing[:-1]))
+                new = crossing[first]
                 rates[new] = s
                 unfrozen[new] = False
                 nfrozen += int(new.size)

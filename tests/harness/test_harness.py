@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algorithms import GeneratedAlltoall, LamAlltoall
+from repro.algorithms import BruckAlltoall, GeneratedAlltoall, LamAlltoall
 from repro.errors import ReproError
 from repro.harness.metrics import (
     aggregate_throughput_mbps,
@@ -39,6 +39,10 @@ class TestWorkloads:
 
     def test_default_repetitions_match_paper(self):
         assert Workload(msize=1).repetitions == 3
+
+    def test_workload_needs_a_repetition(self):
+        with pytest.raises(ReproError, match="got 0"):
+            Workload(msize=1, repetitions=0)
 
 
 class TestMetrics:
@@ -99,6 +103,14 @@ class TestRunner:
         cell = small_result.cell("generated", kib(64))
         expected = aggregate_throughput_mbps(4, kib(64), cell.mean_time)
         assert cell.throughput_mbps == pytest.approx(expected)
+
+    def test_one_rank_cluster_has_zero_throughput(self):
+        result = run_experiment(
+            "one", single_switch(1), [BruckAlltoall()],
+            [Workload(msize=kib(1), repetitions=1)],
+        )
+        assert result.points[0].mean_time == 0.0
+        assert result.points[0].throughput_mbps == 0.0
 
     def test_variant_recorded(self, small_result):
         assert "generated" in small_result.cell("generated", kib(8)).variant

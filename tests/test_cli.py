@@ -492,6 +492,15 @@ class TestErrorHandling:
                      "--faults", str(plan)]) == 2
         assert "no such physical link" in capsys.readouterr().err
 
+    def test_campaign_zero_repetitions(self, capsys):
+        assert main(["campaign", "--topologies", "1", "--repetitions", "0",
+                     "--no-ledger"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-aapc: error: need at least one repetition")
+        assert "got 0" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestSimulateWithFaults:
     def test_sync_loss_run_reports_retransmits(self, loss_plan_file, capsys):
