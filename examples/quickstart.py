@@ -67,10 +67,7 @@ def main() -> None:
 
     # 5. The artifact the paper's generator produces: a C routine.
     programs = build_programs(schedule, plan)
-    source = generate_c_routine(
-        programs, topo.machines,
-        num_phases=schedule.num_phases, num_syncs=len(plan.syncs),
-    )
+    source = generate_c_routine(programs, topo.machines)
     head = "\n".join(source.splitlines()[:24])
     print(f"\ngenerated C routine ({len(source.splitlines())} lines), head:")
     print(head)

@@ -74,12 +74,7 @@ def main() -> None:
           f"(naive plan would use {plan.stats.num_before_reduction})")
 
     programs = build_programs(schedule, plan)
-    source = generate_c_routine(
-        programs,
-        topo.machines,
-        num_phases=schedule.num_phases,
-        num_syncs=len(plan.syncs),
-    )
+    source = generate_c_routine(programs, topo.machines)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(source)
     print(f"\nwrote {out_path} ({len(source.splitlines())} lines of C)")

@@ -59,33 +59,45 @@ class AutoTunedAlltoall(AlltoallAlgorithm):
     def tune(self, topology: Topology, msize: int) -> str:
         """Measure all candidates for this cell; cache and return the winner."""
         key = (dumps_topology(topology), msize)
-        if key in self._winners:
-            return self._winners[key]
-        # imported lazily: the harness depends on the algorithms package
-        from repro.harness import Workload, run_experiment
-
-        result = run_experiment(
-            "autotune",
-            topology,
-            [get_algorithm(name) for name in self.candidates],
-            [Workload(msize, self.repetitions, 0)],
-            self.params,
-        )
-        times = {
-            name: p.mean_time for name, p in zip(self.candidates, result.points)
-        }
-        winner = min(times, key=times.get)
-        self._winners[key] = winner
-        self.measurements[key] = times
-        return winner
+        if key not in self._winners:
+            self.build_programs(topology, msize)
+        return self._winners[key]
 
     def selected(self, topology: Topology, msize: int) -> Optional[str]:
         """The cached winner for this cell, or None if not tuned yet."""
         return self._winners.get((dumps_topology(topology), msize))
 
     def build_programs(self, topology: Topology, msize: int) -> Dict[str, Program]:
-        winner = self.tune(topology, msize)
-        return get_algorithm(winner).build_programs(topology, msize)
+        """The winner's programs, tuning the cell first if it is new.
+
+        Tuning builds each candidate once and keeps only the fastest
+        program set so far: that set is the one returned.
+        """
+        key = (dumps_topology(topology), msize)
+        if key in self._winners:
+            return get_algorithm(self._winners[key]).build_programs(
+                topology, msize
+            )
+        # imported lazily: the harness depends on the algorithms package
+        from repro.harness.runner import measure_programs
+        from repro.harness.workloads import Workload
+
+        workload = Workload(msize, self.repetitions, 0)
+        times: Dict[str, float] = {}
+        winner = ""
+        best: Dict[str, Program] = {}
+        for name in self.candidates:
+            algorithm = get_algorithm(name)
+            programs = algorithm.build_programs(topology, msize)
+            times[name] = measure_programs(
+                topology, algorithm, programs, workload, self.params
+            ).mean_time
+            if not winner or times[name] < times[winner]:
+                winner, best = name, programs
+            del programs
+        self._winners[key] = winner
+        self.measurements[key] = times
+        return best
 
     def describe(self, topology: Topology, msize: int) -> str:
         winner = self.selected(topology, msize)

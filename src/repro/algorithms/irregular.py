@@ -8,7 +8,10 @@ Two realizations of irregular personalized communication:
 * :class:`ScheduledAlltoallv` — this library's extension of the paper's
   idea: contention-free size-bucketed phases
   (:func:`repro.core.irregular.schedule_irregular`) with the same
-  pair-wise synchronization planning as the regular generated routine.
+  pair-wise synchronization planning as the regular generated routine,
+  lowered by the generated routine's own
+  :func:`repro.core.program.build_programs` (which stamps each pair's
+  byte count on its send and receive).
 
 Both produce programs whose ops carry explicit ``nbytes`` so the
 executor moves the exact per-pair byte counts, and both are checked by
@@ -17,17 +20,18 @@ the executor's delivery verifier via :func:`expected_blocks_for`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set
 
 from repro.core.irregular import (
-    IrregularSchedule,
     SizeMap,
     schedule_irregular,
     validate_sizes,
     verify_irregular,
 )
-from repro.core.program import Block, Op, OpKind, Program, validate_programs
-from repro.core.synchronization import SyncPlan, build_sync_plan
+from repro.core.program import (
+    Block, Op, OpKind, Program, build_programs, validate_programs,
+)
+from repro.core.synchronization import build_sync_plan
 from repro.topology.graph import Topology
 
 
@@ -78,59 +82,17 @@ class ScheduledAlltoallv:
     def __init__(self, *, balance: float = 2.0, sync: bool = True) -> None:
         self.balance = balance
         self.sync = sync
-        self.last_schedule: Optional[IrregularSchedule] = None
-        self.last_sync_plan: Optional[SyncPlan] = None
 
     def build_programs(
         self, topology: Topology, sizes: SizeMap
     ) -> Dict[str, Program]:
         result = schedule_irregular(topology, sizes, balance=self.balance)
         verify_irregular(result)
-        self.last_schedule = result
         schedule = result.schedule
-
-        plan: Optional[SyncPlan] = None
-        gating: Dict[Tuple[str, int], list] = {}
-        unlocking: Dict[Tuple[str, int], list] = {}
-        if self.sync:
-            plan = build_sync_plan(schedule)
-            self.last_sync_plan = plan
-            for seq, s in enumerate(plan.syncs):
-                tag = 1_000_000 + seq
-                gating.setdefault((s.before.src, s.before.phase), []).append(
-                    (s, tag)
-                )
-                unlocking.setdefault((s.after.src, s.after.phase), []).append(
-                    (s, tag)
-                )
-
-        programs = {m: Program(m) for m in topology.machines}
-        for p in range(schedule.num_phases):
-            out_of: Dict[str, list] = {}
-            into: Dict[str, list] = {}
-            for sm in schedule.phase(p):
-                out_of.setdefault(sm.src, []).append(sm)
-                into.setdefault(sm.dst, []).append(sm)
-            for rank in topology.machines:
-                if rank not in out_of and rank not in into:
-                    continue
-                prog = programs[rank]
-                for s, tag in gating.get((rank, p), ()):
-                    prog.append(Op(OpKind.SYNC_RECV, peer=s.src, tag=tag, phase=p))
-                for sm in into.get(rank, ()):
-                    prog.append(
-                        Op(OpKind.IRECV, peer=sm.src, tag=p,
-                           blocks=((sm.src, sm.dst),),
-                           nbytes=result.sizes[(sm.src, sm.dst)], phase=p)
-                    )
-                for sm in out_of.get(rank, ()):
-                    prog.append(
-                        Op(OpKind.ISEND, peer=sm.dst, tag=p,
-                           blocks=((sm.src, sm.dst),),
-                           nbytes=result.sizes[(sm.src, sm.dst)], phase=p)
-                    )
-                prog.append(Op(OpKind.WAITALL, phase=p))
-                for s, tag in unlocking.get((rank, p), ()):
-                    prog.append(Op(OpKind.SYNC_SEND, peer=s.dst, tag=tag, phase=p))
-        validate_programs(programs)
-        return programs
+        plan = build_sync_plan(schedule) if self.sync else None
+        return build_programs(
+            schedule,
+            plan,
+            sync_mode="pairwise" if self.sync else "none",
+            sizes=result.sizes,
+        )

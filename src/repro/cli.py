@@ -238,12 +238,7 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
     schedule = schedule_aapc(topo, root=args.root)
     plan = build_sync_plan(schedule)
     programs = build_programs(schedule, plan)
-    source = generate_c_routine(
-        programs,
-        topo.machines,
-        num_phases=schedule.num_phases,
-        num_syncs=len(plan.syncs),
-    )
+    source = generate_c_routine(programs, topo.machines)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(source)

@@ -77,11 +77,11 @@ _FOOTER = """\
 def generate_c_routine(
     programs: Dict[str, Program],
     rank_order: Sequence[str],
-    *,
-    num_phases: int = 0,
-    num_syncs: int = 0,
 ) -> str:
     """Emit the customized ``MPI_Alltoall`` as C source text.
+
+    The header's phase count (one past the highest op phase) and sync
+    count (the ``SYNC_SEND`` ops) are read off the programs.
 
     Parameters
     ----------
@@ -95,12 +95,13 @@ def generate_c_routine(
     if missing:
         raise CodegenError(f"no program for machines {missing}")
     rank_of = {name: idx for idx, name in enumerate(rank_order)}
+    ops = [op for name in rank_order for op in programs[name].ops]
 
     out: List[str] = [
         _HEADER.format(
             machines=", ".join(rank_order),
-            phases=num_phases,
-            syncs=num_syncs,
+            phases=1 + max((op.phase for op in ops), default=-1),
+            syncs=sum(op.kind is OpKind.SYNC_SEND for op in ops),
             num_ranks=len(rank_order),
         )
     ]

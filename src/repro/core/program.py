@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import ProgramError
 from repro.obs.metrics_registry import add_counters, pipeline_span
@@ -215,6 +215,7 @@ def build_programs(
     sync_plan: Optional[SyncPlan] = None,
     *,
     sync_mode: str = "pairwise",
+    sizes: Optional[Mapping[Block, int]] = None,
 ) -> Dict[str, Program]:
     """Lower a phased schedule (plus sync plan) to per-rank programs.
 
@@ -230,6 +231,10 @@ def build_programs(
         alternative Section 5 argues against);
         ``"none"`` — no inter-phase synchronization at all (the ablation
         showing why unsynchronized phases drift into contention).
+    sizes:
+        Per-pair byte counts of an irregular (alltoallv) pattern: each
+        pair's ISEND and IRECV carry its count as ``nbytes``.  ``None``
+        (regular AAPC) leaves every data op one block of ``msize``.
     """
     if sync_mode not in ("pairwise", "barrier", "none"):
         raise ProgramError(f"unknown sync_mode {sync_mode!r}")
@@ -237,13 +242,14 @@ def build_programs(
         raise ProgramError("pairwise sync_mode requires a sync plan")
 
     with pipeline_span("program_emission"):
-        return _emit_programs(schedule, sync_plan, sync_mode)
+        return _emit_programs(schedule, sync_plan, sync_mode, sizes)
 
 
 def _emit_programs(
     schedule: PhasedSchedule,
     sync_plan: Optional[SyncPlan],
     sync_mode: str,
+    sizes: Optional[Mapping[Block, int]],
 ) -> Dict[str, Program]:
     machines = schedule.topology.machines
     programs: Dict[str, Program] = {m: Program(m) for m in machines}
@@ -279,8 +285,13 @@ def _emit_programs(
             msg = sm.message
             src, dst = msg.src, msg.dst
             blocks = ((src, dst),)
-            into.setdefault(dst, []).append(Op(IRECV, src, p, blocks, p))
-            out_of.setdefault(src, []).append(Op(ISEND, dst, p, blocks, p))
+            nbytes = None if sizes is None else sizes[src, dst]
+            into.setdefault(dst, []).append(
+                Op(IRECV, src, p, blocks, p, nbytes)
+            )
+            out_of.setdefault(src, []).append(
+                Op(ISEND, dst, p, blocks, p, nbytes)
+            )
         participants = into.keys() | out_of.keys()
         waitall = Op(WAITALL, "", 0, (), p)
         fence = Op(BARRIER, "", 0, (), p) if barrier else None

@@ -19,6 +19,7 @@ regardless of phasing.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -40,6 +41,10 @@ class ContentionReport:
     hotspots: List[Tuple[int, Edge, int]]
     #: total bytes each directed edge carries over the whole program
     edge_bytes: Dict[Edge, int]
+    #: messages per (phase, directed edge): the static per-phase load
+    phase_edge_messages: Dict[Tuple[int, Edge], int]
+    #: bytes per (phase, directed edge)
+    phase_edge_bytes: Dict[Tuple[int, Edge], float]
 
     @property
     def num_phases(self) -> int:
@@ -87,6 +92,8 @@ def analyze_programs(
         oracle = PathOracle(topology)
         phase_messages: Dict[int, List[Tuple[str, str, int]]] = {}
         edge_bytes: Dict[Edge, int] = {}
+        phase_edge_messages: Dict[Tuple[int, Edge], int] = Counter()
+        phase_edge_bytes: Dict[Tuple[int, Edge], float] = defaultdict(float)
         for rank, program in programs.items():
             for op in program.ops:
                 if op.kind not in (OpKind.ISEND, OpKind.SEND):
@@ -96,31 +103,26 @@ def analyze_programs(
                 # collector stamps on FlowRecords, so predicted and
                 # observed per-phase loads join on one key even for
                 # unphased algorithms (collectives, alltoallv).
-                phase_messages.setdefault(
-                    effective_round(op.phase, op.tag), []
-                ).append((rank, op.peer, nbytes))
+                phase = effective_round(op.phase, op.tag)
+                phase_messages.setdefault(phase, []).append(
+                    (rank, op.peer, nbytes)
+                )
                 for edge in oracle.path_edges(rank, op.peer):
                     edge_bytes[edge] = edge_bytes.get(edge, 0) + nbytes
+                    phase_edge_messages[phase, edge] += 1
+                    phase_edge_bytes[phase, edge] += nbytes
 
-        worst = 0
-        hotspots: List[Tuple[int, Edge, int]] = []
-        for phase, msgs in sorted(phase_messages.items()):
-            counts: Dict[Edge, int] = {}
-            for src, dst, _nbytes in msgs:
-                for edge in oracle.path_edges(src, dst):
-                    counts[edge] = counts.get(edge, 0) + 1
-            if not counts:
-                continue
-            phase_worst = max(counts.values())
-            if phase_worst > worst:
-                worst = phase_worst
-                hotspots = []
-            if phase_worst == worst and worst > 1:
-                hotspots.extend(
-                    (phase, edge, count)
-                    for edge, count in counts.items()
-                    if count == worst
-                )
+        worst = max(phase_edge_messages.values(), default=0)
+        # Phase by phase; within one, in the order the op walk first
+        # loaded each edge (the sort is stable).
+        hotspots = sorted(
+            (
+                (phase, edge, count)
+                for (phase, edge), count in phase_edge_messages.items()
+                if count == worst > 1
+            ),
+            key=lambda hotspot: hotspot[0],
+        )
         add_counters(
             phases=len(phase_messages),
             edges=len(edge_bytes),
@@ -131,4 +133,6 @@ def analyze_programs(
             max_phase_edge_concurrency=worst,
             hotspots=hotspots,
             edge_bytes=edge_bytes,
+            phase_edge_messages=phase_edge_messages,
+            phase_edge_bytes=phase_edge_bytes,
         )

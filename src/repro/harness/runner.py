@@ -2,9 +2,11 @@
 
 :func:`run_experiment` is the one build-and-simulate loop: it builds
 each algorithm's programs once per message size, simulates each seeded
-repetition, and returns a queryable :class:`ExperimentResult`.  The
-paper experiments, the random-topology campaign, the auto-tuner and
-the chaos sweep's fault-free baselines all average through it.
+repetition through :func:`measure_programs`, and returns a queryable
+:class:`ExperimentResult`.  The paper experiments, the random-topology
+campaign and the chaos sweep's fault-free baselines all average
+through it; the auto-tuner calls :func:`measure_programs` itself so
+that it can keep the fastest candidate's programs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import AlltoallAlgorithm
+from repro.core.program import Program
 from repro.errors import ReproError
 from repro.harness.metrics import (
     LinkSummary,
@@ -143,64 +146,84 @@ def run_experiment(
     if params is None:
         params = NetworkParams()
     result = ExperimentResult(name=name, topology=topology, params=params)
-    n = topology.num_machines
     for workload in workloads:
         for algorithm in algorithms:
             t0 = time.perf_counter()
             programs = algorithm.build_programs(topology, workload.msize)
             build_time = time.perf_counter() - t0
-            samples: List[float] = []
-            peak_flows = 0
-            max_mux = 0
-            link_stats: Optional[LinkSummary] = None
-            attribution: Optional[Dict[str, object]] = None
-            phase_audit: Optional[Dict[str, object]] = None
-            for i, seed in enumerate(workload.seeds()):
-                run = run_programs(
-                    topology,
-                    programs,
-                    workload.msize,
-                    params.with_seed(seed),
-                    telemetry=telemetry and i == 0,
-                    faults=faults,
-                    max_trace_records=max_trace_records,
-                )
-                samples.append(run.completion_time)
-                peak_flows = max(peak_flows, run.peak_concurrent_flows)
-                max_mux = max(max_mux, run.max_edge_multiplexing)
-                if run.telemetry is not None:
-                    link_stats = summarize_links(run.telemetry)
-                    report, audit, _ = analyze(
-                        run.telemetry, topology, programs, algorithm.name
-                    )
-                    if report is not None:
-                        attribution = report.as_dict(path=False)
-                    # Pure-eager sizes carry no flows to audit.
-                    if audit is not None and not all(
-                        r.verdict == VERDICT_UNOBSERVED for r in audit.rows
-                    ):
-                        phase_audit = audit.summary_dict()
-            mean, lo, hi = completion_stats(samples)
-            result.points.append(
-                MeasurementPoint(
-                    algorithm=algorithm.name,
-                    variant=algorithm.describe(topology, workload.msize),
-                    msize=workload.msize,
-                    mean_time=mean,
-                    min_time=lo,
-                    max_time=hi,
-                    samples=samples,
-                    # A one-rank cluster moves nothing and finishes at 0.
-                    throughput_mbps=aggregate_throughput_mbps(
-                        n, workload.msize, mean
-                    ) if mean > 0 else 0.0,
-                    peak_concurrent_flows=peak_flows,
-                    max_edge_multiplexing=max_mux,
-                    link_stats=link_stats,
-                    build_time=build_time,
-                    attribution=attribution,
-                    phase_audit=phase_audit,
-                )
-            )
+            result.points.append(measure_programs(
+                topology, algorithm, programs, workload, params,
+                build_time=build_time, telemetry=telemetry, faults=faults,
+                max_trace_records=max_trace_records,
+            ))
     return result
 
+
+def measure_programs(
+    topology: Topology,
+    algorithm: AlltoallAlgorithm,
+    programs: Dict[str, Program],
+    workload: Workload,
+    params: NetworkParams,
+    *,
+    build_time: Optional[float] = None,
+    telemetry: bool = False,
+    faults=None,
+    max_trace_records: Optional[int] = None,
+) -> MeasurementPoint:
+    """Simulate one built program set once per seed of *workload*.
+
+    The per-cell body of :func:`run_experiment`, for callers that keep
+    the programs they measured (the auto-tuner keeps its winner's).
+    """
+    samples: List[float] = []
+    peak_flows = 0
+    max_mux = 0
+    link_stats: Optional[LinkSummary] = None
+    attribution: Optional[Dict[str, object]] = None
+    phase_audit: Optional[Dict[str, object]] = None
+    for i, seed in enumerate(workload.seeds()):
+        run = run_programs(
+            topology,
+            programs,
+            workload.msize,
+            params.with_seed(seed),
+            telemetry=telemetry and i == 0,
+            faults=faults,
+            max_trace_records=max_trace_records,
+        )
+        samples.append(run.completion_time)
+        peak_flows = max(peak_flows, run.peak_concurrent_flows)
+        max_mux = max(max_mux, run.max_edge_multiplexing)
+        if run.telemetry is not None:
+            link_stats = summarize_links(run.telemetry)
+            report, audit, _ = analyze(
+                run.telemetry, topology, programs, algorithm.name
+            )
+            if report is not None:
+                attribution = report.as_dict(path=False)
+            # Pure-eager sizes carry no flows to audit.
+            if audit is not None and not all(
+                r.verdict == VERDICT_UNOBSERVED for r in audit.rows
+            ):
+                phase_audit = audit.summary_dict()
+    mean, lo, hi = completion_stats(samples)
+    return MeasurementPoint(
+        algorithm=algorithm.name,
+        variant=algorithm.describe(topology, workload.msize),
+        msize=workload.msize,
+        mean_time=mean,
+        min_time=lo,
+        max_time=hi,
+        samples=samples,
+        # A one-rank cluster moves nothing and finishes at 0.
+        throughput_mbps=aggregate_throughput_mbps(
+            topology.num_machines, workload.msize, mean
+        ) if mean > 0 else 0.0,
+        peak_concurrent_flows=peak_flows,
+        max_edge_multiplexing=max_mux,
+        link_stats=link_stats,
+        build_time=build_time,
+        attribution=attribution,
+        phase_audit=phase_audit,
+    )

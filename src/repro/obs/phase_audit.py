@@ -47,11 +47,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
 from repro.core.program import Program
-from repro.core.program_analysis import ContentionReport, analyze_programs
+from repro.core.program_analysis import analyze_programs
 from repro.errors import ReproError
 from repro.obs.bus import Edge
 from repro.topology.graph import Topology
-from repro.topology.paths import PathOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.link_metrics import FlowRecord
@@ -592,14 +591,11 @@ def audit_phases(
     *,
     msize: Optional[int] = None,
     occupancy_tolerance: float = DEFAULT_OCCUPANCY_TOLERANCE,
-    analysis: Optional[ContentionReport] = None,
 ) -> PhaseAuditReport:
     """Join the static model with a run's telemetry, per phase.
 
     *telemetry* must come from an instrumented run of exactly
     *programs* on *topology* (``run_programs(..., telemetry=True)``).
-    Pass *analysis* to reuse an existing
-    :func:`~repro.core.program_analysis.analyze_programs` report.
     """
     if msize is None:
         msize = telemetry.msize
@@ -613,19 +609,10 @@ def audit_phases(
             f"occupancy tolerance must be non-negative, "
             f"got {occupancy_tolerance}"
         )
-    if analysis is None:
-        analysis = analyze_programs(topology, programs, msize)
-    oracle = PathOracle(topology)
-
+    analysis = analyze_programs(topology, programs, msize)
     # Predicted per (phase, edge): message counts and byte loads.
-    predicted_bytes: Dict[Tuple[int, Edge], float] = {}
-    predicted_msgs: Dict[Tuple[int, Edge], int] = {}
-    for phase, msgs in analysis.phase_messages.items():
-        for src, dst, nbytes in msgs:
-            for edge in oracle.path_edges(src, dst):
-                key = (phase, edge)
-                predicted_bytes[key] = predicted_bytes.get(key, 0.0) + nbytes
-                predicted_msgs[key] = predicted_msgs.get(key, 0) + 1
+    predicted_bytes = analysis.phase_edge_bytes
+    predicted_msgs = analysis.phase_edge_messages
 
     flows = telemetry.links.flows
     observed_bytes, observed_flows, contention = _observed_by_phase_edge(
@@ -697,17 +684,15 @@ def audit_phases(
     # give or take handshakes and sync.
     params = telemetry.params
     efficiency = getattr(params, "base_efficiency", 1.0) or 1.0
-    line_rates: Dict[Edge, float] = {}
-
-    def _line_rate(edge: Edge) -> float:
-        if edge not in line_rates:
-            rate = telemetry.bandwidth
-            overrides = telemetry.link_bandwidths or {}
-            rate = overrides.get(
-                edge, overrides.get((edge[1], edge[0]), rate)
-            )
-            line_rates[edge] = rate
-        return line_rates[edge]
+    overrides = telemetry.link_bandwidths or {}
+    bounds: Dict[int, float] = {}
+    for (phase, edge), nbytes in predicted_bytes.items():
+        rate = overrides.get(
+            edge, overrides.get((edge[1], edge[0]), telemetry.bandwidth)
+        )
+        if rate > 0:
+            bound = nbytes / (rate * efficiency)
+            bounds[phase] = max(bounds.get(phase, 0.0), bound)
 
     window_map = {w.phase: w for w in windows}
     durations: List[PhaseDuration] = []
@@ -715,14 +700,7 @@ def audit_phases(
         {phase for phase, _ in predicted_bytes} | set(window_map)
     )
     for phase in phases:
-        bound = max(
-            (
-                nbytes / (_line_rate(edge) * efficiency)
-                for (p, edge), nbytes in predicted_bytes.items()
-                if p == phase and _line_rate(edge) > 0
-            ),
-            default=0.0,
-        )
+        bound = bounds.get(phase, 0.0)
         win = window_map.get(phase)
         observed = win.span if win is not None else 0.0
         durations.append(

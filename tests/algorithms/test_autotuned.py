@@ -72,6 +72,22 @@ class TestTuning:
         programs = tuner.build_programs(topo, kib(64))
         run_programs(topo, programs, kib(64), NetworkParams().without_noise())
 
+    @pytest.mark.parametrize("msize", [kib(16), kib(256)])
+    def test_untuned_build_builds_each_candidate_once(self, monkeypatch, msize):
+        """Tuning keeps the winner's programs: no second build of it."""
+        builds = {}
+        for name in ("generated", "lam"):
+            cls = type(get_algorithm(name))
+
+            def counted(self, *args, _build=cls.build_programs, _name=name):
+                builds[_name] = builds.get(_name, 0) + 1
+                return _build(self, *args)
+
+            monkeypatch.setattr(cls, "build_programs", counted)
+        tuner = AutoTunedAlltoall(("generated", "lam"), repetitions=1)
+        tuner.build_programs(chain_of_switches([4, 4]), msize)
+        assert builds == {"generated": 1, "lam": 1}
+
     def test_registry_entry(self):
         algorithm = get_algorithm("autotuned")
         assert algorithm.name == "autotuned"

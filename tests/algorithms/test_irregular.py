@@ -7,8 +7,9 @@ from repro.algorithms.irregular import (
     ScheduledAlltoallv,
     expected_blocks_for,
 )
-from repro.core.irregular import uniform_sizes
+from repro.core.irregular import schedule_irregular, uniform_sizes
 from repro.core.program import OpKind
+from repro.core.synchronization import build_sync_plan
 from repro.sim.executor import run_programs
 from repro.sim.params import NetworkParams
 from repro.topology.builder import chain_of_switches, single_switch
@@ -43,6 +44,17 @@ def run(topo, algorithm, sizes, params):
     )
 
 
+def assert_explicit_sizes(programs, sizes):
+    """Every pair's send and receive carry the pair's byte count."""
+    seen = {OpKind.ISEND: set(), OpKind.IRECV: set()}
+    for prog in programs.values():
+        for op in prog.ops:
+            if op.kind in seen:
+                assert op.nbytes == sizes[op.blocks[0]]
+                seen[op.kind].add(op.blocks[0])
+    assert seen[OpKind.ISEND] == seen[OpKind.IRECV] == set(sizes)
+
+
 class TestExpectedBlocks:
     def test_expectation_matches_pattern(self, topo):
         sizes = {("n0", "n1"): 10, ("n2", "n1"): 20}
@@ -57,10 +69,7 @@ class TestPostAll:
 
     def test_ops_carry_explicit_sizes(self, topo, skewed_sizes):
         programs = PostAllAlltoallv().build_programs(topo, skewed_sizes)
-        for prog in programs.values():
-            for op in prog.ops:
-                if op.kind == OpKind.ISEND:
-                    assert op.nbytes == skewed_sizes[op.blocks[0]]
+        assert_explicit_sizes(programs, skewed_sizes)
 
     def test_empty_pattern(self, topo, quiet_params):
         run(topo, PostAllAlltoallv(), {}, quiet_params)
@@ -71,11 +80,15 @@ class TestScheduled:
         result = run(topo, ScheduledAlltoallv(), skewed_sizes, quiet_params)
         assert result.max_edge_multiplexing == 1  # contention-free runtime
 
-    def test_sync_plan_attached(self, topo, skewed_sizes, quiet_params):
-        algorithm = ScheduledAlltoallv()
-        run(topo, algorithm, skewed_sizes, quiet_params)
-        assert algorithm.last_schedule is not None
-        assert algorithm.last_sync_plan is not None
+    def test_ops_carry_explicit_sizes(self, topo, skewed_sizes):
+        programs = ScheduledAlltoallv().build_programs(topo, skewed_sizes)
+        assert_explicit_sizes(programs, skewed_sizes)
+
+    def test_sync_ops_match_plan(self, topo, skewed_sizes):
+        programs = ScheduledAlltoallv().build_programs(topo, skewed_sizes)
+        plan = build_sync_plan(schedule_irregular(topo, skewed_sizes).schedule)
+        syncs = sum(p.count(OpKind.SYNC_SEND) for p in programs.values())
+        assert syncs == len(plan.syncs) > 0
 
     def test_no_sync_variant(self, topo, skewed_sizes, quiet_params):
         algorithm = ScheduledAlltoallv(sync=False)

@@ -9,6 +9,7 @@ from repro.core.program import Op, OpKind, Program, build_programs
 from repro.core.scheduler import schedule_aapc
 from repro.core.synchronization import build_sync_plan
 from repro.errors import CodegenError
+from repro.topology.builder import random_tree, topology_b
 
 
 @pytest.fixture
@@ -16,12 +17,7 @@ def fig1_source(fig1):
     schedule = schedule_aapc(fig1, root="s1")
     plan = build_sync_plan(schedule)
     programs = build_programs(schedule, plan)
-    source = generate_c_routine(
-        programs,
-        fig1.machines,
-        num_phases=schedule.num_phases,
-        num_syncs=len(plan.syncs),
-    )
+    source = generate_c_routine(programs, fig1.machines)
     return schedule, plan, programs, source
 
 
@@ -75,12 +71,30 @@ class TestStructure:
         assert "memcpy(" in source
 
 
+@pytest.mark.parametrize(
+    "build",
+    [topology_b, lambda: random_tree(24, 6, seed=7)],
+    ids=["topology_b", "random_tree"],
+)
+def test_header_counts_read_off_programs(build):
+    topo = build()
+    schedule = schedule_aapc(topo)
+    plan = build_sync_plan(schedule)
+    source = generate_c_routine(build_programs(schedule, plan), topo.machines)
+    assert len(plan.syncs) > 0
+    assert (
+        f"Phases: {schedule.num_phases}   Sync messages: {len(plan.syncs)}\n"
+        in source
+    )
+
+
 class TestBarrierMode:
     def test_barrier_calls_emitted(self, fig1):
         schedule = schedule_aapc(fig1, root="s1")
         programs = build_programs(schedule, None, sync_mode="barrier")
         source = generate_c_routine(programs, fig1.machines)
         assert source.count("MPI_Barrier(") == 6 * schedule.num_phases
+        assert f"Phases: {schedule.num_phases}   Sync messages: 0" in source
 
 
 class TestErrors:
