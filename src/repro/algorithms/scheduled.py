@@ -54,15 +54,11 @@ class GeneratedAlltoall(AlltoallAlgorithm):
         *,
         sync_mode: str = "pairwise",
         root: Optional[str] = None,
-        local_embedding: str = "constructive",
         remove_redundant_syncs: bool = True,
-        verify: bool = True,
     ) -> None:
         self.sync_mode = sync_mode
         self.root = root
-        self.local_embedding = local_embedding
         self.remove_redundant_syncs = remove_redundant_syncs
-        self.verify = verify
         if sync_mode != "pairwise":
             self.name = f"generated-{sync_mode}"
         elif not remove_redundant_syncs:
@@ -74,13 +70,8 @@ class GeneratedAlltoall(AlltoallAlgorithm):
         self.last_sync_plan: Optional[SyncPlan] = None
 
     def build_schedule(self, topology: Topology) -> PhasedSchedule:
-        """The phased schedule alone (message size independent)."""
-        return schedule_aapc(
-            topology,
-            verify=self.verify,
-            local_embedding=self.local_embedding,
-            root=self.root,
-        )
+        """The verified phased schedule alone (message size independent)."""
+        return schedule_aapc(topology, root=self.root)
 
     def build_programs(self, topology: Topology, msize: int) -> Dict[str, Program]:
         with _gc_paused():

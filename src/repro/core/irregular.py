@@ -10,12 +10,14 @@ irregular patterns in the paper's spirit:
 * a phase's duration is governed by its *largest* message, so the
   packer must also balance sizes.
 
-:func:`schedule_irregular` implements largest-first first-fit packing
-with a size-compatibility window: a message only joins a phase whose
-current maximum is within ``balance`` of its own size, which keeps tiny
-messages from riding (and wasting) huge phases.  Two lower bounds frame
-the result: the per-edge byte bottleneck (how long the busiest link
-must transmit) and the per-endpoint serialization bound.
+:func:`schedule_irregular` packs largest first through the shared
+first-fit packer :func:`repro.core.naive.first_fit`, with a
+size-compatibility window as its ``admits`` test: a message only joins
+a phase whose largest member is within ``balance`` of its own size,
+which keeps tiny messages from riding (and wasting) huge phases.  Two
+lower bounds frame the result: the per-edge byte bottleneck (how long
+the busiest link must transmit) and the per-endpoint serialization
+bound.
 
 For the regular pattern this degenerates gracefully: every message has
 the same size, the window never splits phases, and the packing is plain
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import SchedulingError, VerificationError
+from repro.core.naive import first_fit
 from repro.core.pattern import Message
 from repro.core.schedule import MessageKind, PhasedSchedule
 from repro.core.verify import verify_contention_free, verify_pair_set
@@ -119,39 +122,27 @@ def schedule_irregular(
     """
     if balance < 1.0:
         raise SchedulingError("balance must be >= 1")
-    oracle = PathOracle(topology)
     clean = validate_sizes(topology, sizes)
+    size = {Message(*pair): nbytes for pair, nbytes in clean.items()}
     # Largest first: dominating sizes are fixed early, later (smaller)
-    # messages fill the gaps.  Ties broken by name for determinism.
-    order = sorted(clean, key=lambda pair: (-clean[pair], pair))
+    # messages fill the gaps.  Ties broken by name for determinism.  So a
+    # phase's first member is its largest, and a phase too large for one
+    # message is too large for every later one, as first_fit requires.
+    order = sorted(size, key=lambda m: (-size[m], m.src, m.dst))
+    phases = first_fit(
+        topology,
+        order,
+        admits=lambda phase, m: size[phase[0]] <= balance * size[m],
+    )
 
-    phase_edges: List[set] = []
-    phase_max: List[int] = []
-    buckets: List[List[Tuple[str, str]]] = []
-    for pair in order:
-        nbytes = clean[pair]
-        edges = frozenset(oracle.path_edges(*pair))
-        placed = False
-        for i in range(len(buckets)):
-            if phase_max[i] > balance * nbytes:
-                continue  # too large a phase for this message
-            if phase_edges[i] & edges:
-                continue
-            phase_edges[i].update(edges)
-            buckets[i].append(pair)
-            placed = True
-            break
-        if not placed:
-            phase_edges.append(set(edges))
-            phase_max.append(nbytes)
-            buckets.append([pair])
-
-    schedule = PhasedSchedule(topology, len(buckets))
-    for p, bucket in enumerate(buckets):
-        for src, dst in bucket:
-            schedule.add(p, Message(src, dst), MessageKind.GLOBAL)
+    schedule = PhasedSchedule(topology, len(phases))
+    for p, phase in enumerate(phases):
+        for message in phase:
+            schedule.add(p, message, MessageKind.GLOBAL)
     return IrregularSchedule(
-        schedule=schedule, sizes=clean, phase_sizes=phase_max
+        schedule=schedule,
+        sizes=clean,
+        phase_sizes=[size[phase[0]] for phase in phases],
     )
 
 

@@ -26,7 +26,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -46,6 +45,7 @@ from repro.core.assignment import (
 )
 from repro.core.global_schedule import GlobalSchedule, build_global_schedule
 from repro.core.matching import hopcroft_karp
+from repro.core.naive import first_fit
 from repro.core.pattern import Message
 from repro.core.root import RootInfo, identify_root
 from repro.core.schedule import MessageKind, PhasedSchedule
@@ -128,21 +128,20 @@ def schedule_pairs(
     template: Optional[PhasedSchedule] = None,
     compact: bool = False,
     forbidden_edges: AbstractSet[FrozenSet[str]] = frozenset(),
-    verify: bool = True,
 ) -> PhasedSchedule:
     """Phase-partition an arbitrary pair set (the repair entry point).
 
     Unlike :func:`schedule_aapc`, which always schedules the full AAPC
     pattern, this packs exactly the *pending* messages into
-    contention-free phases with a greedy earliest-fit placement.  Two
-    properties make it usable for incremental schedule repair
-    (:mod:`repro.faults.repair`):
+    contention-free phases with the first-fit packer
+    :func:`repro.core.naive.first_fit`.  Two properties make it usable
+    for incremental schedule repair (:mod:`repro.faults.repair`):
 
     * **Hint seeding.**  When *template* is given, each message first
       tries the phase the template assigned it.  With the full pattern
       pending, every hint slot is feasible (the template phase was
       contention free), so the repacking reproduces the template exactly
-      — including its optimal phase count.
+      — including its optimal phase count and its message kinds.
     * **Compaction.**  With ``compact=True`` hints only order the
       placement; each message lands in its earliest feasible phase, so
       a residual pair set (mid-run resume) packs into fewer phases than
@@ -150,7 +149,9 @@ def schedule_pairs(
 
     *forbidden_edges* are physical links (as ``frozenset({u, v})``) no
     scheduled path may use — a dead link makes its pairs unschedulable
-    and raises :class:`SchedulingError`.
+    and raises :class:`SchedulingError`.  The result is not verified;
+    the caller runs the verifier that fits its pair set
+    (:func:`~repro.core.verify.verify_schedule_for_pairs`).
     """
     with pipeline_span("schedule_pairs"):
         if not topology.validated:
@@ -167,68 +168,27 @@ def schedule_pairs(
         order = sorted(pending, key=lambda m: (hints.get(m, 1 << 30), m))
         if len(set(order)) != len(order):
             raise SchedulingError("pending pair set contains duplicates")
+        if forbidden_edges:
+            for msg in order:
+                for u, v in oracle.path_edges(msg.src, msg.dst):
+                    if frozenset((u, v)) in forbidden_edges:
+                        raise SchedulingError(
+                            f"pair {msg} requires dead link {u}<->{v}; "
+                            "no schedule can carry it"
+                        )
 
-        # Per phase: directed edges in use, plus sender/receiver sets
-        # (endpoint discipline, also implied by the duplex machine link).
-        used: List[Set[Tuple[str, str]]] = []
-        senders: List[Set[str]] = []
-        receivers: List[Set[str]] = []
-        placed: List[List[Message]] = []
-
-        def fits(p: int, msg: Message, edges) -> bool:
-            if msg.src in senders[p] or msg.dst in receivers[p]:
-                return False
-            return not any(e in used[p] for e in edges)
-
-        def put(p: int, msg: Message, edges) -> None:
-            placed[p].append(msg)
-            senders[p].add(msg.src)
-            receivers[p].add(msg.dst)
-            used[p].update(edges)
-
-        def grow() -> int:
-            used.append(set())
-            senders.append(set())
-            receivers.append(set())
-            placed.append([])
-            return len(placed) - 1
-
-        rescheduled = 0
-        for msg in order:
-            edges = oracle.path_edges(msg.src, msg.dst)
-            for u, v in edges:
-                if frozenset((u, v)) in forbidden_edges:
-                    raise SchedulingError(
-                        f"pair {msg} requires dead link {u}<->{v}; "
-                        "no schedule can carry it"
-                    )
-            hint = hints.get(msg)
-            target: Optional[int] = None
-            if not compact and hint is not None:
-                while len(placed) <= hint:
-                    grow()
-                if fits(hint, msg, edges):
-                    target = hint
-            if target is None:
-                for p in range(len(placed)):
-                    if fits(p, msg, edges):
-                        target = p
-                        break
-                else:
-                    target = grow()
-            put(target, msg, edges)
-            if hint is None or target != hint:
-                rescheduled += 1
-
-        # Hint mode may have grown empty phases past the last placement.
+        placed = first_fit(topology, order, hints=None if compact else hints)
+        # Hint mode may have opened empty phases past the last placement.
         while placed and not placed[-1]:
             placed.pop()
 
         schedule = PhasedSchedule(topology, len(placed))
+        rescheduled = 0
         for p, msgs in enumerate(placed):
             for msg in msgs:
                 kind, group = kinds.get(msg, (MessageKind.LOCAL, (-1, -1)))
                 schedule.add(p, msg, kind, group)
+                rescheduled += hints.get(msg) != p
 
         metric_inc("scheduler.pair_repacks")
         metric_observe("scheduler.pairs_repacked", len(order))
@@ -237,14 +197,6 @@ def schedule_pairs(
             messages=len(schedule),
             rescheduled=rescheduled,
         )
-        if verify:
-            from repro.core.verify import verify_schedule_for_pairs
-
-            verify_schedule_for_pairs(
-                schedule,
-                set(pending),
-                forbidden_edges=forbidden_edges,
-            )
         return schedule
 
 

@@ -4,9 +4,15 @@ All errors raised by the library derive from :class:`ReproError` so that
 callers can catch library failures without also catching unrelated Python
 errors.  The hierarchy mirrors the major subsystems: topology modelling,
 schedule construction, schedule verification, and simulation.
+:func:`check_schema` holds the one envelope check every versioned JSON
+artifact reader shares.
 """
 
 from __future__ import annotations
+
+from typing import Any
+
+from repro._version import __version__
 
 
 class ReproError(Exception):
@@ -62,3 +68,27 @@ class ProgramError(ReproError):
 
 class CodegenError(ReproError):
     """The C code generator was given an unsupported schedule."""
+
+
+def check_schema(
+    data: Any, what: str, version: int, *, required: bool = False
+) -> int:
+    """The ``schema`` of a JSON artifact envelope, checked.
+
+    Raises :class:`ReproError` when *data* is not a JSON object, when
+    its schema is not an integer >= 1, or when a newer repro wrote it
+    (schema above *version*).  A missing schema reads as *version*
+    (pre-versioning artifacts) unless *required*.
+    """
+    if not isinstance(data, dict):
+        raise ReproError(f"{what} must be a JSON object")
+    schema = data.get("schema") if required else data.get("schema", version)
+    if not isinstance(schema, int) or schema < 1:
+        raise ReproError(f"{what} has invalid schema {schema!r}")
+    if schema > version:
+        raise ReproError(
+            f"{what} uses schema {schema}, but this version of repro "
+            f"({__version__}) reads up to schema {version}; "
+            "upgrade repro to read it"
+        )
+    return schema

@@ -300,7 +300,6 @@ def repair_schedule(
             template=schedule,
             compact=(stage == "mid-run"),
             forbidden_edges=dead,
-            verify=False,
         )
         if pend_set == full:
             verify_schedule(repaired)

@@ -14,7 +14,7 @@ import json
 from typing import IO, Union
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.errors import ReproError, check_schema
 from repro.harness.runner import ExperimentResult, MeasurementPoint
 from repro.sim.params import NetworkParams
 from repro.topology.graph import Topology
@@ -55,18 +55,7 @@ def result_to_dict(result: ExperimentResult) -> dict:
 
 def result_from_dict(data: dict) -> ExperimentResult:
     """Inverse of :func:`result_to_dict`."""
-    schema = data.get("schema")
-    if isinstance(schema, int) and schema > SCHEMA_VERSION:
-        raise ReproError(
-            f"result file uses schema {schema}, but this version of repro "
-            f"({__version__}) reads up to schema {SCHEMA_VERSION}; "
-            "upgrade repro to read it"
-        )
-    if schema != SCHEMA_VERSION:
-        raise ReproError(
-            f"unsupported result schema {schema!r}; "
-            f"expected {SCHEMA_VERSION}"
-        )
+    check_schema(data, "result file", SCHEMA_VERSION, required=True)
     params_data = dict(data["params"])
     # Written by versions that had the (removed) flow-pool switch.
     params_data.pop("pool_flows", None)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.errors import ReproError, check_schema
 from repro.obs.causal import CausalAnalysis, analyze
 from repro.topology.analysis import weighted_best_case_completion_time
 
@@ -294,19 +294,7 @@ def load_attribution(source: Union[str, IO[str]]) -> Dict[str, object]:
         data = json.load(source)
     except json.JSONDecodeError as exc:
         raise ReproError(f"corrupt attribution report: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ReproError("attribution report must be a JSON object")
-    schema = data.get("schema", ATTRIBUTION_SCHEMA_VERSION)
-    if not isinstance(schema, int) or schema < 1:
-        raise ReproError(
-            f"attribution report has invalid schema {schema!r}"
-        )
-    if schema > ATTRIBUTION_SCHEMA_VERSION:
-        raise ReproError(
-            f"attribution report uses schema {schema}, but this version "
-            f"of repro ({__version__}) reads up to schema "
-            f"{ATTRIBUTION_SCHEMA_VERSION}; upgrade repro to read it"
-        )
+    check_schema(data, "attribution report", ATTRIBUTION_SCHEMA_VERSION)
     return data
 
 

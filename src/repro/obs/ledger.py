@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.errors import ReproError, check_schema
 from repro.obs.metrics_registry import validate_stats
 from repro.units import format_duration_ms
 
@@ -244,17 +244,9 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunRecord":
-        schema = data.get("schema")
-        if not isinstance(schema, int) or schema < 1:
-            raise ReproError(
-                f"ledger record has invalid schema marker {schema!r}"
-            )
-        if schema > LEDGER_SCHEMA_VERSION:
-            raise ReproError(
-                f"ledger record uses schema {schema}, but this version of "
-                f"repro ({__version__}) reads up to schema "
-                f"{LEDGER_SCHEMA_VERSION}; upgrade repro to read it"
-            )
+        schema = check_schema(
+            data, "ledger record", LEDGER_SCHEMA_VERSION, required=True
+        )
         topo = data.get("topology") or {}
         return cls(
             run_id=str(data["run_id"]),
@@ -413,14 +405,9 @@ def load_baseline(ref: str, ledger: Optional[RunLedger] = None) -> RunRecord:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ReproError(f"corrupt baseline file {ref}: {exc}") from exc
+        check_schema(data, f"baseline {ref}", LEDGER_SCHEMA_VERSION)
         if "run_id" in data:
             return RunRecord.from_dict(data)
-        schema = data.get("schema", LEDGER_SCHEMA_VERSION)
-        if isinstance(schema, int) and schema > LEDGER_SCHEMA_VERSION:
-            raise ReproError(
-                f"baseline {ref} uses schema {schema}; this repro reads "
-                f"up to {LEDGER_SCHEMA_VERSION}"
-            )
         return RunRecord(
             run_id=f"baseline:{os.path.basename(ref)}",
             timestamp="",

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.errors import ReproError, check_schema
 
 #: Version of the metrics-snapshot (``stats``) envelope.  Bump on
 #: incompatible change; :func:`load_snapshots` rejects snapshots from
@@ -473,17 +473,7 @@ def _prom_value(v: object) -> str:
 
 def validate_stats(data: Dict[str, object]) -> None:
     """Reject a ``stats`` envelope written by a newer repro."""
-    if not isinstance(data, dict):
-        raise ReproError("metrics snapshot must be a JSON object")
-    schema = data.get("schema", STATS_SCHEMA_VERSION)
-    if not isinstance(schema, int) or schema < 1:
-        raise ReproError(f"metrics snapshot has invalid schema {schema!r}")
-    if schema > STATS_SCHEMA_VERSION:
-        raise ReproError(
-            f"metrics snapshot uses schema {schema}, but this version of "
-            f"repro ({__version__}) reads up to schema "
-            f"{STATS_SCHEMA_VERSION}; upgrade repro to read it"
-        )
+    check_schema(data, "metrics snapshot", STATS_SCHEMA_VERSION)
 
 
 def loads_snapshot(text: str) -> MetricsSnapshot:
@@ -492,8 +482,6 @@ def loads_snapshot(text: str) -> MetricsSnapshot:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReproError(f"corrupt metrics snapshot: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ReproError("metrics snapshot must be a JSON object")
     return MetricsSnapshot.from_dict(data)
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import IO, TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro._version import __version__
-from repro.errors import ReproError
+from repro.errors import ReproError, check_schema
 from repro.obs.bus import LinkOccupancy
 from repro.obs.link_metrics import LinkMetricsReport
 from repro.obs.phase_audit import PhaseWindow, phase_windows, windows_dict
@@ -235,17 +235,7 @@ def load_metrics(source: Union[str, IO[str]]) -> Dict[str, object]:
         data = json.load(source)
     except json.JSONDecodeError as exc:
         raise ReproError(f"corrupt metrics report: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ReproError("metrics report must be a JSON object")
-    schema = data.get("schema", METRICS_SCHEMA_VERSION)
-    if not isinstance(schema, int) or schema < 1:
-        raise ReproError(f"metrics report has invalid schema {schema!r}")
-    if schema > METRICS_SCHEMA_VERSION:
-        raise ReproError(
-            f"metrics report uses schema {schema}, but this version of "
-            f"repro ({__version__}) reads up to schema "
-            f"{METRICS_SCHEMA_VERSION}; upgrade repro to read it"
-        )
+    schema = check_schema(data, "metrics report", METRICS_SCHEMA_VERSION)
     if schema == 1 and "schedule_health" in data:
         _upgrade_schedule_health(data)
     return data

@@ -62,11 +62,6 @@ class TestGeneratedAlltoall:
         programs = algorithm.build_programs(fig1, kib(64))
         run_programs(fig1, programs, kib(64), quiet_params)
 
-    def test_matching_embedding_option(self, small_star, quiet_params):
-        algorithm = GeneratedAlltoall(local_embedding="matching")
-        programs = algorithm.build_programs(small_star, kib(64))
-        run_programs(small_star, programs, kib(64), quiet_params)
-
 
 class TestRuntimeContentionFreedom:
     def test_max_multiplexing_is_one_with_rendezvous(self, quiet_params):
@@ -131,10 +126,8 @@ class TestGcPause:
         assert gc.isenabled() is gc_enabled
 
     def test_restores_collector_state_on_error(self, fig1, gc_enabled):
-        with pytest.raises(ReproError, match="local_embedding"):
-            GeneratedAlltoall(local_embedding="bogus").build_programs(
-                fig1, kib(64)
-            )
+        with pytest.raises(ReproError, match="forced root"):
+            GeneratedAlltoall(root="bogus").build_programs(fig1, kib(64))
         assert gc.isenabled() is gc_enabled
 
     @pytest.mark.parametrize(

@@ -61,6 +61,15 @@ class TestPersistence:
         with pytest.raises(ReproError, match="schema"):
             result_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [("[]", "must be a JSON object"), ('{"name": "x"}', "invalid schema")],
+        ids=["list", "no-schema"],
+    )
+    def test_malformed_envelope(self, text, message):
+        with pytest.raises(ReproError, match=message):
+            loads_result(text)
+
     def test_corrupt_json(self):
         import io
 

@@ -257,6 +257,16 @@ class TestBaselineLoading:
         loaded = load_baseline(path)
         assert loaded.run_id == record.run_id
 
+    def test_full_record_needs_its_schema(self, tmp_path):
+        """A bare baseline may omit its schema; a run record may not."""
+        data = make_record(lam={"completion_time_ms": 9.0}).as_dict()
+        del data["schema"]
+        path = str(tmp_path / "record.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        with pytest.raises(ReproError, match="ledger record has invalid schema"):
+            load_baseline(path)
+
     def test_ledger_ref_fallback(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "led"))
         record = make_record(lam={"completion_time_ms": 9.0})
@@ -336,6 +346,34 @@ class TestRegressCli:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ([], "must be a JSON object"),
+            ({"schema": "x", "algorithms": {}}, "invalid schema"),
+            ({"schema": 0, "algorithms": {}}, "invalid schema"),
+            ({"schema": 99, "algorithms": {}}, "upgrade repro"),
+        ],
+        ids=["list", "string-schema", "zero-schema", "future-schema"],
+    )
+    def test_malformed_baseline_exits_2(self, tmp_path, capsys, content,
+                                        message):
+        directory = self._seed_ledger(tmp_path, scheduler_runtime_ms=1.0)
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump(content, fh)
+        rc = main(
+            [
+                "report", "regress",
+                "--baseline", path,
+                "--ledger-dir", directory,
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("report regress: baseline ")
+        assert message in err
 
 
 class TestFaultPartitions:

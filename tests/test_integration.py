@@ -144,8 +144,8 @@ class TestCrossEmbeddingEquivalence:
         topo = star_of_switches([3, 3, 2])
         times = {}
         for embedding in ("constructive", "matching"):
-            algorithm = GeneratedAlltoall(local_embedding=embedding)
-            programs = algorithm.build_programs(topo, kib(64))
+            schedule = schedule_aapc(topo, local_embedding=embedding)
+            programs = build_programs(schedule, build_sync_plan(schedule))
             result = run_programs(topo, programs, kib(64), quiet_params)
             times[embedding] = result.completion_time
             assert result.max_edge_multiplexing == 1
