@@ -6,23 +6,24 @@ sync planner read: one row per message, in
 :meth:`~repro.core.schedule.PhasedSchedule.all_messages` order, with
 each message's tree path as directed edge ids in CSR form.
 
-Edge ids come from parent pointers.  The tree is rooted once (BFS from
-the first machine) and node ``x``'s up-edge ``x -> parent(x)`` gets id
-``2x``, its down-edge ``parent(x) -> x`` id ``2x + 1``.  A path climbs
-from the source to the lowest common ancestor, then descends to the
-destination, so one pass per tree level over all messages at once
-yields every path; no per-message walk happens in Python.
+Node and edge ids are those of the topology's one rooting
+(:class:`~repro.topology.graph.Rooting`, made by validation): node
+``x``'s up-edge ``x -> parent(x)`` has id ``2x``, its down-edge
+``parent(x) -> x`` id ``2x + 1``.  A path climbs from the source to the
+lowest common ancestor, then descends to the destination, so
+:func:`edge_paths` finds every path with one pass per tree level over
+all messages at once; no per-message walk happens in Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.topology.graph import Edge, Topology
+from repro.topology.graph import Rooting, Topology
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.schedule import ScheduledMessage
@@ -43,18 +44,29 @@ class MessageTable:
     phase: np.ndarray
     path_ptr: np.ndarray
     path_edges: np.ndarray
-    #: Node names by node id; the first ``num_machines`` are the machines.
-    nodes: Tuple[str, ...]
-    num_machines: int
-    #: Parent node id of each node under the rooting (-1 at the root).
-    parent: np.ndarray
+    #: The topology's rooting: node names, parent ids and edge ids.
+    rooting: Rooting
 
     def __len__(self) -> int:
         return len(self.src)
 
     @property
+    def nodes(self) -> Tuple[str, ...]:
+        """Node names by id; the first ``num_machines`` are the machines."""
+        return self.rooting.nodes
+
+    @property
+    def parent(self) -> np.ndarray:
+        """Parent node id of each node under the rooting (-1 at the root)."""
+        return self.rooting.parent
+
+    @property
+    def num_machines(self) -> int:
+        return self.rooting.num_machines
+
+    @property
     def num_edge_ids(self) -> int:
-        return 2 * len(self.nodes)
+        return self.rooting.num_edge_ids
 
     def path_owner(self) -> np.ndarray:
         """The message index of each entry of ``path_edges``."""
@@ -66,35 +78,12 @@ class MessageTable:
         """The message whose path holds ``path_edges[entry]``."""
         return int(np.searchsorted(self.path_ptr, entry, side="right")) - 1
 
-    def edge(self, eid: int) -> Edge:
-        """The directed edge with id *eid*, as node names."""
-        child, down = divmod(int(eid), 2)
-        up = (self.nodes[child], self.nodes[self.parent[child]])
-        return (up[1], up[0]) if down else up
-
-    def link_ids(self, u: str, v: str) -> Tuple[int, ...]:
-        """Both directed edge ids of the physical link ``u <-> v``.
-
-        Empty when the two nodes are not adjacent in the tree.
-        """
-        index = {name: i for i, name in enumerate(self.nodes)}
-        x, y = index.get(u), index.get(v)
-        if x is None or y is None:
-            return ()
-        if self.parent[x] == y:
-            return (2 * x, 2 * x + 1)
-        if self.parent[y] == x:
-            return (2 * y, 2 * y + 1)
-        return ()
-
 
 def build_message_table(
     topology: Topology, phases: Sequence[Sequence["ScheduledMessage"]]
 ) -> MessageTable:
     """The :class:`MessageTable` of *phases* (a schedule's phase lists)."""
-    if not topology.validated:
-        topology.validate()
-    nodes, parent, depth = _rooted_tree(topology)
+    rooting = topology.rooting
     rank: Dict[str, int] = {m: i for i, m in enumerate(topology.machines)}
     count = sum(len(phase) for phase in phases)
     src = np.empty(count, dtype=np.int32)
@@ -107,49 +96,24 @@ def build_message_table(
     phase = np.repeat(
         np.arange(len(phases), dtype=np.int32), [len(p) for p in phases]
     )
-    path_ptr, path_edges = _paths(parent, depth, src, dst)
-    return MessageTable(
-        src, dst, phase, path_ptr, path_edges, nodes, len(rank), parent
-    )
+    path_ptr, path_edges = edge_paths(rooting, src, dst)
+    return MessageTable(src, dst, phase, path_ptr, path_edges, rooting)
 
 
-def _rooted_tree(
-    topology: Topology,
-) -> Tuple[Tuple[str, ...], np.ndarray, np.ndarray]:
-    """Node names (machines first), parent ids and depths of a BFS rooting."""
-    nodes = tuple(topology.machines) + tuple(topology.switches)
-    index = {name: i for i, name in enumerate(nodes)}
-    parent = np.full(len(nodes), -1, dtype=np.int32)
-    depth = np.zeros(len(nodes), dtype=np.int32)
-    seen = [False] * len(nodes)
-    seen[0] = True
-    frontier: List[int] = [0]
-    while frontier:
-        nxt: List[int] = []
-        for u in frontier:
-            for name in topology.neighbors(nodes[u]):
-                v = index[name]
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return nodes, parent, depth
-
-
-def _paths(
-    parent: np.ndarray, depth: np.ndarray, src: np.ndarray, dst: np.ndarray
+def edge_paths(
+    rooting: Rooting, src: np.ndarray, dst: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every ``src -> dst`` path as edge ids in CSR form ``(ptr, edges)``.
 
-    ``anc[x, k]`` is ``x``'s ancestor at depth ``k``.  Ancestors agree
-    up to the LCA's depth and differ below it, so counting the agreeing
-    levels gives the LCA depth of all messages in one pass per level.
+    *src* and *dst* are node ids.  ``anc[x, k]`` is ``x``'s ancestor at
+    depth ``k``.  Ancestors agree up to the LCA's depth and differ below
+    it, so counting the agreeing levels gives the LCA depth of all
+    messages in one pass per level.
     """
+    parent, depth = rooting.parent, rooting.depth
     levels = int(depth.max(initial=0)) + 1
     anc = np.full((len(parent), levels), -1, dtype=np.int32)
-    for x in np.argsort(depth, kind="stable"):  # parents before children
+    for x in rooting.order.tolist():  # parents before children
         if parent[x] >= 0:
             anc[x] = anc[parent[x]]
         anc[x, depth[x]] = x

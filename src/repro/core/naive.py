@@ -23,10 +23,13 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence
 
+import numpy as np
+
+from repro.core.message_table import edge_paths
 from repro.core.pattern import Message, aapc_messages
 from repro.core.schedule import MessageKind, PhasedSchedule
+from repro.errors import TopologyError
 from repro.topology.graph import Topology
-from repro.topology.paths import PathOracle
 
 
 def first_fit(
@@ -52,13 +55,23 @@ def first_fit(
     Every machine is a leaf, so edge-disjoint phases also give each
     machine at most one send and one receive per phase.
     """
-    oracle = PathOracle(topology)
-    index = {edge: i for i, edge in enumerate(topology.directed_edges())}
-    closed = (1 << len(index)) - 1
+    messages = list(messages)
+    rooting = topology.rooting
+    try:
+        ends = np.array(
+            [(rooting.index[m.src], rooting.index[m.dst]) for m in messages],
+            dtype=np.int32,
+        ).reshape(-1, 2)
+    except KeyError as exc:
+        raise TopologyError(f"unknown node: {exc.args[0]!r}") from None
+    ptr, edges = edge_paths(rooting, ends[:, 0], ends[:, 1])
+    bounds = ptr.tolist()
+    edges = edges.tolist()
+    closed = (1 << rooting.num_edge_ids) - 1
     used: List[int] = []  # per phase: bitmask of the directed edges taken
     phases: List[List[Message]] = []
-    # Per edge: every phase before this one carries the edge already.
-    free_from = [0] * len(index)
+    # Per edge id: every phase before this one carries the edge already.
+    free_from = [0] * rooting.num_edge_ids
 
     def fits(p: int, mask: int, message: Message) -> bool:
         if mask & used[p]:
@@ -68,8 +81,8 @@ def first_fit(
         used[p] = closed
         return False
 
-    for message in messages:
-        path = [index[e] for e in oracle.path_edges(message.src, message.dst)]
+    for k, message in enumerate(messages):
+        path = edges[bounds[k]:bounds[k + 1]]
         mask = 0
         for i in path:
             mask |= 1 << i

@@ -12,7 +12,7 @@ same messages as integer arrays (:mod:`repro.core.message_table`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
@@ -147,13 +147,6 @@ class PhasedSchedule:
 
     def locals_in(self, p: int) -> List[ScheduledMessage]:
         return [m for m in self._phases[p] if m.kind is MessageKind.LOCAL]
-
-    def messages_of_rank(self, machine: str) -> List[ScheduledMessage]:
-        """Messages sent by *machine*, in phase order."""
-        return sorted(
-            (m for m in self._by_message.values() if m.src == machine),
-            key=lambda m: m.phase,
-        )
 
     # ------------------------------------------------------------------
     def render(self) -> str:

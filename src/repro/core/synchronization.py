@@ -252,8 +252,8 @@ def _conflict_dependences(
         earlier, later = messages[a[k]], messages[b[k]]
         raise SchedulingError(
             f"messages {earlier.message} and {later.message} share "
-            f"edge {table.edge(edges[k])} in phase {earlier.phase}; schedule "
-            "is not contention free"
+            f"edge {table.rooting.edge(edges[k])} in phase {earlier.phase}; "
+            "schedule is not contention free"
         )
     return _unique_pairs(a, b, len(table))
 

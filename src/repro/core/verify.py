@@ -70,7 +70,7 @@ def verify_contention_free(schedule: PhasedSchedule) -> None:
         sm = messages[table.owner_of(repeat)]
         raise VerificationError(
             f"phase {sm.phase}: messages {holder.message} and {sm.message} "
-            f"contend on edge {table.edge(table.path_edges[repeat])}"
+            f"contend on edge {table.rooting.edge(table.path_edges[repeat])}"
         )
 
 
@@ -225,11 +225,11 @@ def verify_schedule_for_pairs(
             eid
             for link in forbidden_edges
             if len(link) == 2
-            for eid in table.link_ids(*link)
+            for eid in table.rooting.link_ids(*link)
         ]
         crossing = np.flatnonzero(np.isin(table.path_edges, dead))
         if crossing.size:
-            u, v = table.edge(table.path_edges[crossing[0]])
+            u, v = table.rooting.edge(table.path_edges[crossing[0]])
             sm = schedule.all_messages()[table.owner_of(crossing[0])]
             raise VerificationError(
                 f"message {sm.message} (phase {sm.phase}) crosses "

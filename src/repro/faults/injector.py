@@ -23,7 +23,7 @@ report.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.events import FaultWindow, SyncDisrupted
@@ -59,15 +59,6 @@ class FaultStats:
             "syncs_abandoned": self.syncs_abandoned,
             "ranks_crashed": self.ranks_crashed,
         }
-
-    @property
-    def total_disruptions(self) -> int:
-        return (
-            self.syncs_dropped
-            + self.syncs_delayed
-            + self.syncs_duplicated
-            + self.syncs_link_dropped
-        )
 
 
 class FaultInjector:

@@ -18,11 +18,12 @@ watchdog aborts it.  This module implements the policy layer as a
    degraded topology's residual link capacities rather than only the
    rank count.
 
-* :func:`assess_fault_plan` — pre-run triage.  Revalidates the
-  schedule's contention-freedom guarantee against the degraded topology
-  (a permanently failed link voids it: everything crossing the link
-  serialises behind its residual trickle) and decides whether the
-  sync-dependent scheduled routine can complete at all.
+* :func:`assess_fault_plan` — pre-run triage.  Checks the schedule's
+  contention-freedom guarantee against the degraded topology (a
+  permanently failed link that carries traffic voids it: everything
+  crossing the link serialises behind its residual trickle) and
+  decides whether the sync-dependent scheduled routine can complete at
+  all.
 * :func:`run_resilient` — run an algorithm under a plan with the
   watchdog armed, climbing the ladder *pre-run* (the plan declares
   permanent damage) or *mid-run* (the watchdog fired; the residual pair
@@ -41,12 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import ReproError, StallError, VerificationError
+from repro.errors import ReproError, StallError
 from repro.algorithms.registry import get_algorithm
 from repro.core.pattern import aapc_message_set
 from repro.core.program import build_programs
-from repro.core.scheduler import schedule_aapc
-from repro.core.verify import verify_contention_free
 from repro.faults.events import FallbackDecision, RepairDecision
 from repro.faults.plan import FOREVER, FaultPlan
 from repro.faults.repair import (
@@ -57,6 +56,7 @@ from repro.faults.repair import (
 from repro.faults.watchdog import StallDiagnosis, WatchdogConfig
 from repro.sim.executor import RunResult, run_programs
 from repro.sim.params import NetworkParams
+from repro.topology.analysis import subtree_machine_counts
 from repro.topology.graph import Topology
 from repro.topology.paths import PathOracle
 
@@ -165,20 +165,13 @@ class FaultAssessment:
         }
 
 
-def assess_fault_plan(
-    topology: Topology,
-    plan: FaultPlan,
-    *,
-    check_schedule: bool = True,
-) -> FaultAssessment:
+def assess_fault_plan(topology: Topology, plan: FaultPlan) -> FaultAssessment:
     """Triage *plan* before running: what can still complete, and why.
 
-    With *check_schedule* the generated schedule is rebuilt and
-    revalidated: first against the pristine topology (the paper's
-    contention-freedom theorem), then against the degraded one — any
-    scheduled message whose path crosses a permanently failed link voids
-    the guarantee, because that link's capacity collapse serialises
-    every phase crossing it.
+    Any scheduled message whose path crosses a permanently failed link
+    voids the schedule's contention-freedom guarantee, because that
+    link's capacity collapse serialises every phase crossing it.  A
+    link carries AAPC traffic iff both of its sides hold a machine.
 
     Note ``scheduled_viable=False`` means the *original* schedule cannot
     complete as built; :func:`run_resilient` still tries schedule repair
@@ -186,7 +179,6 @@ def assess_fault_plan(
     """
     plan.validate_against(topology)
     reasons: List[str] = []
-    oracle = PathOracle(topology)
     permanent = plan.permanent_link_failures()
     partitioned = any(lf.residual <= 0 for lf in permanent)
     if partitioned:
@@ -202,25 +194,22 @@ def assess_fault_plan(
     # A permanently failed link drops every control (sync) message
     # crossing it, forever — the retry/backoff protocol cannot recover,
     # so any sync edge routed over it makes the scheduled routine stall.
-    failed_links = {frozenset(lf.link) for lf in permanent}
-    if failed_links:
-        machines = topology.machines
-        affected = set()
-        for i, src in enumerate(machines):
-            for dst in machines[i + 1:]:
-                for u, v in oracle.path_edges(src, dst):
-                    if frozenset((u, v)) in failed_links:
-                        affected.add(tuple(sorted((u, v))))
-        if affected:
-            scheduled_viable = False
-            contention_free = False
-            reasons.append(
-                "permanent link failure(s) on "
-                f"{sorted(affected)} drop sync "
-                "messages forever; the scheduled routine cannot complete "
-                "and its contention-freedom guarantee is void on the "
-                "degraded topology"
-            )
+    counts = subtree_machine_counts(topology)
+    affected = {
+        tuple(sorted(lf.link))
+        for lf in permanent
+        if counts[tuple(lf.link)] and counts[tuple(lf.link)[::-1]]
+    }
+    if affected:
+        scheduled_viable = False
+        contention_free = False
+        reasons.append(
+            "permanent link failure(s) on "
+            f"{sorted(affected)} drop sync "
+            "messages forever; the scheduled routine cannot complete "
+            "and its contention-freedom guarantee is void on the "
+            "degraded topology"
+        )
 
     for sf in plan.sync_faults:
         if (
@@ -234,15 +223,6 @@ def assess_fault_plan(
                 "a permanent total sync-loss fault (loss=1, no end) makes "
                 "every pair-wise synchronization unrecoverable"
             )
-
-    if check_schedule and not partitioned:
-        try:
-            schedule = schedule_aapc(topology, verify=False)
-            verify_contention_free(schedule)
-        except (VerificationError, ReproError) as exc:
-            contention_free = False
-            scheduled_viable = False
-            reasons.append(f"schedule revalidation failed: {exc}")
 
     return FaultAssessment(
         scheduled_viable=scheduled_viable and not partitioned,
@@ -388,9 +368,7 @@ def run_resilient(
 
     have_faults = plan is not None and not plan.empty
     if have_faults and pre_assess:
-        assessment = assess_fault_plan(
-            topology, plan, check_schedule=algorithm in SYNC_DEPENDENT
-        )
+        assessment = assess_fault_plan(topology, plan)
         if assessment.partitioned:
             decisions.append(
                 FallbackDecision(

@@ -165,9 +165,6 @@ class CausalAnalysis:
         """The *n* longest critical-path segments."""
         return sorted(self.segments, key=lambda s: s.duration, reverse=True)[:n]
 
-    def tightest_syncs(self, n: int = 5) -> List[Tuple[Tuple[str, str, int], float]]:
-        return sorted(self.sync_slack.items(), key=lambda kv: kv[1])[:n]
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "completion_time_ms": self.completion_time * 1e3,

@@ -140,11 +140,20 @@ class AlgorithmEntry:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "AlgorithmEntry":
+        if not isinstance(data, dict):
+            raise ReproError(
+                f"algorithm entry must be a JSON object, not {data!r}"
+            )
+        time_ms = data.get("completion_time_ms")
+        if isinstance(time_ms, bool) or not isinstance(time_ms, (int, float)):
+            raise ReproError(
+                f"algorithm entry has invalid completion_time_ms {time_ms!r}"
+            )
         stats = data.get("stats")
         if stats is not None:
             validate_stats(stats)
         return cls(
-            completion_time_ms=float(data["completion_time_ms"]),
+            completion_time_ms=float(time_ms),
             throughput_mbps=data.get("throughput_mbps"),
             scheduler_runtime_ms=data.get("scheduler_runtime_ms"),
             sim_wall_ms=data.get("sim_wall_ms"),
@@ -247,7 +256,7 @@ class RunRecord:
         schema = check_schema(
             data, "ledger record", LEDGER_SCHEMA_VERSION, required=True
         )
-        topo = data.get("topology") or {}
+        topo = _object_field(data, "topology")
         return cls(
             run_id=str(data["run_id"]),
             timestamp=str(data.get("timestamp", "")),
@@ -259,13 +268,21 @@ class RunRecord:
             params=dict(data.get("params") or {}),
             algorithms={
                 name: AlgorithmEntry.from_dict(entry)
-                for name, entry in (data.get("algorithms") or {}).items()
+                for name, entry in _object_field(data, "algorithms").items()
             },
             git_sha=data.get("git_sha"),
             fault_plan=data.get("fault_plan"),
             schema=schema,
             repro_version=str(data.get("repro_version", "")),
         )
+
+
+def _object_field(data: Dict[str, object], key: str) -> Dict[str, object]:
+    """``data[key]`` as a JSON object (empty when absent or null)."""
+    value = data.get(key) or {}
+    if not isinstance(value, dict):
+        raise ReproError(f"{key!r} must be a JSON object, not {value!r}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -406,25 +423,18 @@ def load_baseline(ref: str, ledger: Optional[RunLedger] = None) -> RunRecord:
             except json.JSONDecodeError as exc:
                 raise ReproError(f"corrupt baseline file {ref}: {exc}") from exc
         check_schema(data, f"baseline {ref}", LEDGER_SCHEMA_VERSION)
-        if "run_id" in data:
+        if "run_id" not in data:  # the bare committed-baseline form
+            data = {
+                "schema": LEDGER_SCHEMA_VERSION,
+                "run_id": f"baseline:{os.path.basename(ref)}",
+                "command": "baseline",
+                "repro_version": __version__,
+                **data,
+            }
+        try:
             return RunRecord.from_dict(data)
-        return RunRecord(
-            run_id=f"baseline:{os.path.basename(ref)}",
-            timestamp="",
-            command=str(data.get("command", "baseline")),
-            topology_spec=str(data.get("topology", {}).get("spec", "")),
-            topology_fingerprint=str(
-                data.get("topology", {}).get("fingerprint", "")
-            ),
-            num_machines=int(data.get("topology", {}).get("num_machines", 0)),
-            msize=data.get("msize"),
-            params=dict(data.get("params") or {}),
-            algorithms={
-                name: AlgorithmEntry.from_dict(entry)
-                for name, entry in (data.get("algorithms") or {}).items()
-            },
-            git_sha=data.get("git_sha"),
-        )
+        except ReproError as exc:
+            raise ReproError(f"baseline {ref}: {exc}") from None
     if ledger is None:
         ledger = RunLedger()
     return ledger.find(ref)

@@ -32,35 +32,22 @@ def subtree_machine_counts(topology: Topology) -> Dict[Tuple[str, str], int]:
     when the link is removed, and ``counts[(u, v)] + counts[(v, u)] ==
     |M|`` for every link.
 
-    Computed with one iterative post-order pass (O(V)).
+    One pass over the topology's rooting, children before parents,
+    accumulates each node's machine count below it (O(V)).
     """
-    if not topology.validated:
-        topology.validate()
-    root = topology.machines[0]
-    parent: Dict[str, str] = {}
-    order: List[str] = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for v in topology.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                order.append(v)
-    below: Dict[str, int] = {}
-    for u in reversed(order):
-        count = 1 if topology.is_machine(u) else 0
-        for v in topology.neighbors(u):
-            if parent.get(v) == u:
-                count += below[v]
-        below[u] = count
+    rooting = topology.rooting
+    nodes = rooting.nodes
+    parent = rooting.parent.tolist()
+    order = rooting.order[1:].tolist()
     total = topology.num_machines
+    below = [1] * total + [0] * (len(nodes) - total)
+    for x in reversed(order):
+        below[parent[x]] += below[x]
     counts: Dict[Tuple[str, str], int] = {}
-    for child, par in parent.items():
-        counts[(par, child)] = below[child]
-        counts[(child, par)] = total - below[child]
+    for x in order:
+        child, par = nodes[x], nodes[parent[x]]
+        counts[(par, child)] = below[x]
+        counts[(child, par)] = total - below[x]
     return counts
 
 

@@ -9,16 +9,19 @@ can only be leaves.
 
 :class:`Topology` enforces these structural invariants on
 :meth:`Topology.validate` and offers the queries the scheduling core
-needs: neighbours, subtree machine counts, unique paths (via
-:class:`repro.topology.paths.PathOracle`) and the machine↔rank mapping
-used by the MPI-style layers.
+needs: neighbours, subtree decomposition and the machine↔rank mapping
+used by the MPI-style layers.  Validation roots the tree once, in the
+walk that checks connectivity; that :class:`Rooting` is what unique
+paths, subtree counts, subtree decomposition and the message table read.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import TopologyError
 
@@ -57,6 +60,65 @@ class Node:
         return self.kind is NodeKind.SWITCH
 
 
+@dataclass(frozen=True, eq=False)
+class Rooting:
+    """A validated tree rooted at its first machine, as integer arrays.
+
+    Node ids number the machines first, in rank order, then the
+    switches in insertion order, so a machine's rank is its node id.
+    Node ``x``'s up-edge ``x -> parent(x)`` has directed edge id ``2x``
+    and its down-edge ``parent(x) -> x`` id ``2x + 1``; the root's two
+    ids are unused.
+    """
+
+    nodes: Tuple[str, ...]
+    num_machines: int
+    index: Dict[str, int]
+    #: Parent id of each node (-1 at the root), and its depth.
+    parent: np.ndarray
+    depth: np.ndarray
+    #: Node ids breadth first from the root, neighbours in link order:
+    #: parents come before children.
+    order: np.ndarray
+
+    @property
+    def num_edge_ids(self) -> int:
+        return 2 * len(self.nodes)
+
+    def edge(self, eid: int) -> Edge:
+        """The directed edge with id *eid*, as node names."""
+        child, down = divmod(int(eid), 2)
+        up = (self.nodes[child], self.nodes[self.parent[child]])
+        return (up[1], up[0]) if down else up
+
+    def link_ids(self, u: str, v: str) -> Tuple[int, ...]:
+        """Both directed edge ids of the physical link ``u <-> v``.
+
+        Empty when the two nodes are not adjacent in the tree.
+        """
+        x, y = self.index.get(u), self.index.get(v)
+        if x is None or y is None:
+            return ()
+        if self.parent[x] == y:
+            return (2 * x, 2 * x + 1)
+        if self.parent[y] == x:
+            return (2 * y, 2 * y + 1)
+        return ()
+
+    def side(self, u: str, v: str) -> np.ndarray:
+        """Ids of the nodes on *u*'s side of link ``u <-> v``, ascending."""
+        eids = self.link_ids(u, v)
+        if not eids:
+            raise TopologyError(f"no link between {u!r} and {v!r}")
+        child = eids[0] // 2
+        level = self.depth[child]
+        up = np.arange(len(self.nodes))
+        for _ in range(int(self.depth.max()) - level):  # climb to that level
+            up = np.where(self.depth[up] > level, self.parent[up], up)
+        below = up == child
+        return np.flatnonzero(below if child == self.index[u] else ~below)
+
+
 class Topology:
     """A switched-Ethernet cluster modelled as an undirected tree.
 
@@ -85,7 +147,7 @@ class Topology:
         self._machines: List[str] = []
         self._switches: List[str] = []
         self._links: List[Tuple[str, str]] = []
-        self._validated = False
+        self._rooting: Optional[Rooting] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -107,7 +169,7 @@ class Topology:
             raise TopologyError(f"duplicate node name: {name!r}")
         self._nodes[name] = Node(name, kind)
         self._adj[name] = []
-        self._validated = False
+        self._rooting = None
 
     def add_link(self, u: str, v: str) -> None:
         """Add a full-duplex physical link between nodes *u* and *v*.
@@ -124,7 +186,7 @@ class Topology:
         self._adj[u].append(v)
         self._adj[v].append(u)
         self._links.append((u, v))
-        self._validated = False
+        self._rooting = None
 
     # ------------------------------------------------------------------
     # basic queries
@@ -211,7 +273,9 @@ class Topology:
 
         The invariants: at least one machine exists, the graph is
         connected, it is acyclic (``#links == #nodes - 1`` with
-        connectivity), and every machine is a leaf.
+        connectivity), and every machine is a leaf.  The connectivity
+        walk roots the tree at the first machine; the result is kept as
+        :attr:`rooting` until the next ``add_*`` call.
         """
         if not self._machines:
             raise TopologyError("topology has no machines")
@@ -221,21 +285,24 @@ class Topology:
                 f"not a tree: {n_nodes} nodes but {len(self._links)} links "
                 f"(a tree needs exactly {n_nodes - 1})"
             )
-        # connectivity via BFS from an arbitrary node
-        start = next(iter(self._nodes))
-        seen: Set[str] = {start}
-        frontier = [start]
-        while frontier:
-            nxt: List[str] = []
-            for u in frontier:
-                for v in self._adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        if len(seen) != n_nodes:
+        nodes = tuple(self._machines) + tuple(self._switches)
+        index = {name: i for i, name in enumerate(nodes)}
+        parent = [-1] * n_nodes
+        depth = [0] * n_nodes
+        seen = [False] * n_nodes
+        seen[0] = True
+        order = [0]
+        for x in order:  # breadth first; the list grows as it is read
+            for name in self._adj[nodes[x]]:
+                y = index[name]
+                if not seen[y]:
+                    seen[y] = True
+                    parent[y] = x
+                    depth[y] = depth[x] + 1
+                    order.append(y)
+        if len(order) != n_nodes:
             raise TopologyError(
-                f"not connected: reached {len(seen)} of {n_nodes} nodes"
+                f"not connected: reached {len(order)} of {n_nodes} nodes"
             )
         for m in self._machines:
             if len(self._adj[m]) != 1:
@@ -246,11 +313,23 @@ class Topology:
             # A machine may attach directly to another machine only in the
             # degenerate 2-node cluster; the paper assumes |M| >= 3 with
             # switches, but we only require the peer to exist.
-        self._validated = True
+        self._rooting = Rooting(
+            nodes,
+            len(self._machines),
+            index,
+            *(np.array(a, dtype=np.int32) for a in (parent, depth, order)),
+        )
 
     @property
     def validated(self) -> bool:
-        return self._validated
+        return self._rooting is not None
+
+    @property
+    def rooting(self) -> Rooting:
+        """The tree rooted at the first machine (validates on first use)."""
+        if self._rooting is None:
+            self.validate()
+        return self._rooting  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # subtree decomposition
@@ -261,26 +340,8 @@ class Topology:
         This is ``G_u`` from Section 3: removing a tree link splits the
         graph into exactly two components.
         """
-        if v not in self._adj.get(u, ()):  # also validates u
-            raise TopologyError(f"no link between {u!r} and {v!r}")
-        seen: Set[str] = {u}
-        frontier = [u]
-        while frontier:
-            nxt: List[str] = []
-            for a in frontier:
-                for b in self._adj[a]:
-                    if b == v and a == u:
-                        continue
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        if v in seen:
-            raise TopologyError(
-                f"removing link ({u!r}, {v!r}) did not disconnect the graph; "
-                "topology is not a tree"
-            )
-        return frozenset(seen)
+        rooting = self.rooting
+        return frozenset(rooting.nodes[x] for x in rooting.side(u, v).tolist())
 
     def machines_in(self, nodes: Iterable[str]) -> List[str]:
         """Machines among *nodes*, in rank order."""
@@ -297,7 +358,8 @@ class Topology:
 
     def subtree_machines(self, root: str, branch: str) -> List[str]:
         """Machines in the subtree of *root* through *branch*, rank order."""
-        return self.machines_in(self.subtree_nodes(root, branch))
+        ids = self.rooting.side(branch, root)
+        return [self._machines[x] for x in ids[ids < self.num_machines]]
 
     # ------------------------------------------------------------------
     # dunder helpers
@@ -319,7 +381,7 @@ class Topology:
                 other.add_switch(name)
         for u, v in self._links:
             other.add_link(u, v)
-        if self._validated:
+        if self._rooting is not None:
             other.validate()
         return other
 

@@ -3,9 +3,10 @@
 On a tree there is exactly one simple path between any two nodes, so the
 paper can speak of *the* path ``path(u, v)`` — the set of directed edges
 from ``u`` to ``v`` (Section 3).  :class:`PathOracle` answers those
-queries in O(path length) after a single BFS.  That BFS is cheap, so
-every consumer builds its own oracle from the topology it holds, and
-nothing is memoised per pair.
+queries in O(path length).  It reads the tree's one rooting
+(:attr:`Topology.rooting`, made by validation) and walks nothing
+itself, so every consumer builds its own oracle from the topology it
+holds, and nothing is memoised per pair.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from repro.topology.graph import Edge, Topology
 class PathOracle:
     """Answers ``path(u, v)`` queries on a validated :class:`Topology`.
 
-    The oracle roots the tree at an arbitrary node and records, with
-    one BFS, each node's parent, depth and directed edges to and from
+    The oracle reads each node's parent and depth from the topology's
+    rooting and records, parents first, its directed edges to and from
     the root.  Any path is then two tuple slices cut at the LCA depth:
     the node's up-edges, then the other node's down-edges.  Nothing is
     cached per pair: a caller that queries a pair repeatedly keeps the
@@ -36,38 +37,27 @@ class PathOracle:
     """
 
     def __init__(self, topology: Topology) -> None:
-        if not topology.validated:
-            topology.validate()
         self.topology = topology
-        self._parent: Dict[str, Optional[str]] = {}
-        self._depth: Dict[str, int] = {}
+        rooting = topology.rooting
+        nodes = rooting.nodes
+        parent = rooting.parent.tolist()
+        self._parent: Dict[str, Optional[str]] = {
+            v: nodes[p] if p >= 0 else None for v, p in zip(nodes, parent)
+        }
+        self._depth: Dict[str, int] = dict(zip(nodes, rooting.depth.tolist()))
+        root = nodes[0]
         #: Directed edges from a node up to the root, nearest first.
-        self._up: Dict[str, Tuple[Edge, ...]] = {}
+        self._up: Dict[str, Tuple[Edge, ...]] = {root: ()}
         #: Directed edges from the root down to a node, root first.
-        self._down: Dict[str, Tuple[Edge, ...]] = {}
-        self._build()
-
-    def _build(self) -> None:
-        root = self.topology.machines[0]
-        self._parent[root] = None
-        self._depth[root] = 0
-        self._up[root] = self._down[root] = ()
-        frontier = [root]
-        while frontier:
-            nxt: List[str] = []
-            for u in frontier:
-                for v in self.topology.neighbors(u):
-                    if v not in self._parent:
-                        self._parent[v] = u
-                        self._depth[v] = self._depth[u] + 1
-                        self._up[v] = ((v, u),) + self._up[u]
-                        self._down[v] = self._down[u] + ((u, v),)
-                        nxt.append(v)
-            frontier = nxt
+        self._down: Dict[str, Tuple[Edge, ...]] = {root: ()}
+        for x in rooting.order[1:].tolist():
+            v, u = nodes[x], nodes[parent[x]]
+            self._up[v] = ((v, u),) + self._up[u]
+            self._down[v] = self._down[u] + ((u, v),)
 
     # ------------------------------------------------------------------
     def lca(self, u: str, v: str) -> str:
-        """Lowest common ancestor of *u* and *v* under the BFS rooting."""
+        """Lowest common ancestor of *u* and *v* under the rooting."""
         du, dv = self._depth_of(u), self._depth_of(v)
         while du > dv:
             u = self._parent[u]  # type: ignore[assignment]

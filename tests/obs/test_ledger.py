@@ -354,8 +354,17 @@ class TestRegressCli:
             ({"schema": "x", "algorithms": {}}, "invalid schema"),
             ({"schema": 0, "algorithms": {}}, "invalid schema"),
             ({"schema": 99, "algorithms": {}}, "upgrade repro"),
+            ({"algorithms": [1]}, "'algorithms' must be a JSON object"),
+            ({"topology": "x", "algorithms": {}},
+             "'topology' must be a JSON object"),
+            ({"algorithms": {"lam": 3}},
+             "algorithm entry must be a JSON object"),
+            ({"algorithms": {"lam": {"completion_time_ms": "fast"}}},
+             "invalid completion_time_ms"),
         ],
-        ids=["list", "string-schema", "zero-schema", "future-schema"],
+        ids=["list", "string-schema", "zero-schema", "future-schema",
+             "list-algorithms", "string-topology", "int-entry",
+             "string-completion-time"],
     )
     def test_malformed_baseline_exits_2(self, tmp_path, capsys, content,
                                         message):
