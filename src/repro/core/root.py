@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
-from repro.topology.analysis import aapc_edge_loads, subtree_machine_counts
+from repro.topology.analysis import subtree_machine_counts
 from repro.topology.graph import Topology
 
 
@@ -133,8 +133,11 @@ def identify_root(topology: Topology, root: Optional[str] = None) -> RootInfo:
             "clusters directly"
         )
 
+    # Section 3's load |M_u| * |M_v| of every directed edge, read off the
+    # one counts table (same order as aapc_edge_loads).
     counts = subtree_machine_counts(topology)
-    loads = aapc_edge_loads(topology)
+    n = topology.num_machines
+    loads = {edge: c * (n - c) for edge, c in counts.items()}
     peak = max(loads.values())
 
     if root is not None:

@@ -1,7 +1,7 @@
 """Runtime realisation of a :class:`~repro.faults.plan.FaultPlan`.
 
-The :class:`FaultInjector` is the single object the simulator layers
-consult about fault state:
+The :class:`FaultInjector` answers the questions the simulator layers
+ask *during* a run — each one about a moment or a random draw:
 
 * :meth:`link_factor` — bandwidth multiplier of a directed edge *now*
   (the network multiplies effective capacity by it at every settle);
@@ -10,7 +10,14 @@ consult about fault state:
 * :meth:`sync_fate` — per transmission attempt, draw loss / delay /
   duplication from the plan's seeded RNG;
 * :meth:`overhead_factor` / :meth:`crash_time` — host stragglers and
-  rank crashes for the executor.
+  rank crashes for the executor;
+* :meth:`active_faults` — what is broken at a moment, for stall
+  diagnoses.
+
+Questions that do not depend on the time — dead links, capacity
+floors, links that fail for good, sync blackouts — are asked of the
+plan itself (:class:`~repro.faults.plan.FaultPlan` and
+:class:`~repro.faults.plan.PathDamage`).
 
 All draws come from one ``random.Random`` seeded from the plan seed and
 the run seed, in deterministic call order, so two runs with identical
@@ -152,52 +159,6 @@ class FaultInjector:
             if lf.active(time):
                 factor = min(factor, lf.bandwidth_factor)
         return factor
-
-    def boundaries(self) -> List[float]:
-        return self.plan.boundaries()
-
-    def link_factor_floor(self, edge: Edge) -> float:
-        """Worst bandwidth multiplier *edge* ever sees under the plan.
-
-        The capacity floor over all declared windows (1.0 = never
-        faulted) — what repair cost models must assume when predicting
-        serialization on a degraded link.
-        """
-        faults = self._link_faults.get(edge)
-        if not faults:
-            return 1.0
-        return min(1.0, *(lf.bandwidth_factor for lf in faults))
-
-    def path_factor_floor(self, src: str, dst: str) -> float:
-        """Worst capacity multiplier along the src→dst path."""
-        if not self._link_faults:
-            return 1.0
-        return min(
-            (self.link_factor_floor(e) for e in self.oracle.path_edges(src, dst)),
-            default=1.0,
-        )
-
-    def path_control_blocked_forever(
-        self, src: str, dst: str
-    ) -> Optional[Edge]:
-        """First permanently failed edge on the src→dst path, if any.
-
-        Unlike :meth:`path_control_blocked` this ignores *when* — a sync
-        edge crossing a permanently failed link can never be delivered,
-        which is what schedule repair needs to know when deciding which
-        syncs to regenerate and which to drop.
-        """
-        if not self._link_faults:
-            return None
-        permanent = {
-            frozenset(lf.link) for lf in self.plan.permanent_link_failures()
-        }
-        if not permanent:
-            return None
-        for edge in self.oracle.path_edges(src, dst):
-            if frozenset(edge) in permanent:
-                return edge
-        return None
 
     def _edge_control_blocked(self, edge: Edge, time: float) -> bool:
         faults = self._link_faults.get(edge)

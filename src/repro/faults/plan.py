@@ -31,18 +31,34 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Tuple, Union
 
 from repro.errors import FaultPlanError
+from repro.topology.graph import Edge, Topology
+from repro.topology.paths import PathOracle
 
 #: End of an open-ended window ("until the end of the run").
 FOREVER = float("inf")
+
+#: Capacity floors below this are treated as effectively dead when
+#: costing a path (avoids infinities in decision records; a true
+#: ``residual=0`` link already partitions the tree).
+MIN_FLOOR = 1e-9
+
+
+def _finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise FaultPlanError(f"{name} must be a finite number, got {value}")
 
 
 def _window(start: float, end: Optional[float]) -> Tuple[float, float]:
     e = FOREVER if end is None else float(end)
     s = float(start)
+    _finite("fault window start", s)
+    if e != FOREVER:
+        _finite("fault window end", e)
     if s < 0:
         raise FaultPlanError(f"fault window start must be >= 0, got {s}")
     if e <= s:
@@ -68,6 +84,7 @@ class LinkFault:
         if len(self.link) != 2 or self.link[0] == self.link[1]:
             raise FaultPlanError(f"bad link spec {self.link!r}")
         _window(self.start, self.end)
+        _finite("degradation factor", self.factor)
         if not self.failed and not 0.0 < self.factor <= 1.0:
             raise FaultPlanError(
                 f"degradation factor must be in (0, 1], got {self.factor}; "
@@ -94,6 +111,7 @@ class HostStraggler:
     end: float = FOREVER
 
     def __post_init__(self) -> None:
+        _finite("straggler factor", self.factor)
         if self.factor < 1.0:
             raise FaultPlanError(
                 f"straggler factor must be >= 1, got {self.factor}"
@@ -127,6 +145,7 @@ class SyncFault:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise FaultPlanError(f"{name} must be a probability, got {v}")
+        _finite("delay_mean", self.delay_mean)
         if self.delay_mean < 0:
             raise FaultPlanError("delay_mean must be non-negative")
         _window(self.start, self.end)
@@ -134,14 +153,19 @@ class SyncFault:
     def active(self, time: float) -> bool:
         return self.start <= time < self.end
 
+    @property
+    def targeted(self) -> bool:
+        """Restricted to a sender and/or receiver rather than every pair."""
+        return self.src is not None or self.dst is not None
+
+    def covers(self, src: str, dst: str) -> bool:
+        """Does the pair filter match the src→dst channel (at any time)?"""
+        return (self.src is None or self.src == src) and (
+            self.dst is None or self.dst == dst
+        )
+
     def applies(self, src: str, dst: str, time: float) -> bool:
-        if not self.active(time):
-            return False
-        if self.src is not None and self.src != src:
-            return False
-        if self.dst is not None and self.dst != dst:
-            return False
-        return True
+        return self.active(time) and self.covers(src, dst)
 
 
 @dataclass(frozen=True)
@@ -152,6 +176,7 @@ class RankCrash:
     time: float
 
     def __post_init__(self) -> None:
+        _finite("crash time", self.time)
         if self.time < 0:
             raise FaultPlanError(f"crash time must be >= 0, got {self.time}")
 
@@ -189,6 +214,16 @@ class FaultPlan:
             lf for lf in self.link_faults if lf.failed and lf.end == FOREVER
         ]
 
+    def dead_link_faults(self) -> List[LinkFault]:
+        """Permanent failures with ``residual=0``: the link is truly gone.
+
+        On a tree each one partitions the cluster: no algorithm can
+        complete and no schedule may route over it.
+        """
+        return [
+            lf for lf in self.permanent_link_failures() if lf.residual <= 0
+        ]
+
     def permanent_link_faults(self) -> List[LinkFault]:
         """Link faults (failed or degraded) whose window never closes.
 
@@ -208,8 +243,9 @@ class FaultPlan:
 
         A ``loss >= 1`` fault with an open window makes every matching
         sync message undeliverable no matter how often it is
-        retransmitted; targeted ones (``src``/``dst`` set) black out a
-        single pair-wise channel.
+        retransmitted; :attr:`~SyncFault.targeted` ones black out a
+        single pair-wise channel.  Window timing is not consulted: a
+        blackout that opens later still kills every later sync.
         """
         return [
             sf
@@ -221,9 +257,10 @@ class FaultPlan:
         """Worst-case bandwidth multiplier per faulted physical link.
 
         The minimum :attr:`LinkFault.bandwidth_factor` over every
-        declared window of each link (1.0 links are omitted) — the
-        capacity floor that cost models (fallback selection, relaxed
-        repair) must assume for the rest of the run.
+        declared window of each link (links never faulted are omitted)
+        — the capacity floor that cost models (fallback selection,
+        relaxed repair) must assume for the rest of the run; read it
+        along paths through :class:`PathDamage`.
         """
         floors: Dict[frozenset, float] = {}
         for lf in self.link_faults:
@@ -231,7 +268,7 @@ class FaultPlan:
             floors[key] = min(floors.get(key, 1.0), lf.bandwidth_factor)
         return floors
 
-    def validate_against(self, topology) -> None:
+    def validate_against(self, topology: Topology) -> None:
         """Raise :class:`FaultPlanError` on references to unknown nodes/links."""
         for lf in self.link_faults:
             u, v = lf.link
@@ -370,6 +407,43 @@ class FaultPlan:
             sync_faults=sync_faults,
             crashes=crashes,
         )
+
+
+class PathDamage:
+    """A plan's permanent damage read along a topology's unique paths.
+
+    The time-free questions schedule repair and the fallback chooser
+    ask about a path: its worst capacity multiplier under the plan and
+    the first link on it that fails for good.
+    """
+
+    def __init__(self, plan: FaultPlan, topology: Topology) -> None:
+        self.oracle = PathOracle(topology)
+        self._floors = plan.link_floor_factors()
+        self._failed = {
+            frozenset(lf.link) for lf in plan.permanent_link_failures()
+        }
+
+    def edge_floor(self, edge: Edge) -> float:
+        """Worst capacity multiplier *edge* ever sees, clamped at MIN_FLOOR."""
+        return max(self._floors.get(frozenset(edge), 1.0), MIN_FLOOR)
+
+    def floor(self, src: str, dst: str) -> float:
+        """Worst capacity multiplier along the src→dst path."""
+        return min(
+            (self.edge_floor(e) for e in self.oracle.path_edges(src, dst)),
+            default=1.0,
+        )
+
+    def blocked_forever(self, src: str, dst: str) -> Optional[Edge]:
+        """First permanently failed edge on the src→dst path, if any.
+
+        A control message crossing it can never be delivered.
+        """
+        for edge in self.oracle.path_edges(src, dst):
+            if frozenset(edge) in self._failed:
+                return edge
+        return None
 
 
 def load_fault_plan(source: Union[str, IO[str]]) -> FaultPlan:

@@ -27,9 +27,16 @@ the repo exists to demonstrate.  :func:`repair_schedule` heals instead:
    syncs — accepting bounded serialization on the degraded link — and
    gates the predicted contention cost through the attribution
    machinery (:func:`repro.obs.attribution.check_budgets`) so a repair
-   that would cost more than ``relax_contention_budget`` × the
+   that would cost more than :data:`RELAX_CONTENTION_BUDGET` × the
    Section 3 optimum is rejected in favour of the pairwise/ring
    fallback.
+
+Every question repair asks about the plan is time-free and answered by
+the plan: its dead links
+(:meth:`~repro.faults.plan.FaultPlan.dead_link_faults`), its sync
+blackouts (:meth:`~repro.faults.plan.FaultPlan.sync_blackouts`) and,
+along each path, its capacity floors and permanently failed links
+(:class:`~repro.faults.plan.PathDamage`).
 
 Every attempt is recorded as a typed
 :class:`~repro.faults.events.RepairDecision` and counted in the
@@ -40,7 +47,7 @@ hot-path metrics registry (``repair.repairs_attempted/succeeded``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchedulingError, VerificationError
 from repro.core.pattern import Message, aapc_message_set
@@ -54,24 +61,18 @@ from repro.core.synchronization import (
 )
 from repro.core.verify import verify_schedule, verify_schedule_for_pairs
 from repro.faults.events import RepairDecision
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, SyncFault
+from repro.faults.plan import FaultPlan, PathDamage, SyncFault
 from repro.obs.metrics_registry import metric_inc
 from repro.sim.params import NetworkParams
 from repro.topology.analysis import aapc_load
 from repro.topology.graph import Topology
 
-#: Default ceiling on the relaxed tier's predicted serialization cost,
-#: as a fraction of the Section 3 optimum (``load * msize / B``).  A
+#: Ceiling on the relaxed tier's predicted serialization cost, as a
+#: fraction of the Section 3 optimum (``load * msize / B``).  A
 #: permanently *failed* link (residual goodput ~2%) blows through this
 #: immediately — exactly the cases that should keep falling back —
 #: while moderate degradations repair cheaply.
 RELAX_CONTENTION_BUDGET = 1.0
-
-#: Capacity floors below this are treated as effectively dead when
-#: predicting serialization cost (avoids infinities in decision
-#: records; a true ``residual=0`` link already failed the repair).
-_MIN_FLOOR = 1e-9
 
 
 @dataclass
@@ -110,50 +111,23 @@ def plan_threatens_schedule(plan: FaultPlan) -> bool:
     """
     if plan.permanent_link_faults():
         return True
-    return any(
-        sf.src is None and sf.dst is None for sf in plan.sync_blackouts()
-    )
-
-
-def dead_links(plan: FaultPlan) -> Set[FrozenSet[str]]:
-    """Links with a permanent ``residual=0`` failure (truly gone)."""
-    return {
-        frozenset(lf.link)
-        for lf in plan.permanent_link_failures()
-        if lf.residual <= 0
-    }
-
-
-def _blackout_matches(sf: SyncFault, src: str, dst: str) -> bool:
-    """Does a permanent total-loss sync fault cover the src→dst channel?
-
-    Window timing is ignored deliberately: a blackout that opens later
-    would still kill the repaired run's syncs, so repair treats the
-    channel as unusable for the rest of the run.
-    """
-    if sf.src is not None and sf.src != src:
-        return False
-    if sf.dst is not None and sf.dst != dst:
-        return False
-    return True
+    return any(not sf.targeted for sf in plan.sync_blackouts())
 
 
 def sync_deliverable(
     sync: SyncMessage,
-    injector: FaultInjector,
+    damage: PathDamage,
     blackouts: Sequence[SyncFault],
 ) -> bool:
     """Can this control message ever arrive on the degraded topology?"""
-    if injector.path_control_blocked_forever(sync.src, sync.dst) is not None:
+    if damage.blocked_forever(sync.src, sync.dst) is not None:
         return False
-    return not any(
-        _blackout_matches(sf, sync.src, sync.dst) for sf in blackouts
-    )
+    return not any(sf.covers(sync.src, sync.dst) for sf in blackouts)
 
 
 def predicted_serialization_cost(
     dropped: Sequence[SyncMessage],
-    injector: FaultInjector,
+    damage: PathDamage,
     msize: int,
     params: NetworkParams,
 ) -> float:
@@ -172,10 +146,10 @@ def predicted_serialization_cost(
     total = 0.0
     for s in dropped:
         floor = min(
-            injector.path_factor_floor(s.after.src, s.after.dst),
-            injector.path_factor_floor(s.before.src, s.before.dst),
+            damage.floor(s.after.src, s.after.dst),
+            damage.floor(s.before.src, s.before.dst),
         )
-        total += msize / (params.bandwidth * max(floor, _MIN_FLOOR))
+        total += msize / (params.bandwidth * floor)
     return total
 
 
@@ -184,9 +158,8 @@ def check_contention_budget(
     msize: int,
     params: NetworkParams,
     predicted: float,
-    budget: float,
 ) -> Tuple[bool, str]:
-    """Gate a predicted contention cost through the attribution machinery.
+    """Gate a predicted contention cost against the relaxed-tier budget.
 
     Builds a predictive :class:`~repro.obs.attribution.AttributionReport`
     whose only gap component is the predicted contention and runs it
@@ -214,12 +187,13 @@ def check_contention_budget(
         achievable_optimum=optimum,
         components=components,
     )
-    violations = check_budgets(report, {"contention": budget})
+    violations = check_budgets(report, {"contention": RELAX_CONTENTION_BUDGET})
     if violations:
         return False, f"predicted {violations[0]}"
     return True, (
         f"predicted serialization {predicted * 1e3:.3f} ms is within "
-        f"{budget * 100:g}% of the load optimum ({optimum * 1e3:.3f} ms)"
+        f"{RELAX_CONTENTION_BUDGET * 100:g}% of the load optimum "
+        f"({optimum * 1e3:.3f} ms)"
     )
 
 
@@ -263,7 +237,6 @@ def repair_schedule(
     pending: Optional[Sequence[Message]] = None,
     stage: str = "pre-run",
     time: float = 0.0,
-    relax_contention_budget: float = RELAX_CONTENTION_BUDGET,
 ) -> RepairResult:
     """Repair *schedule* against *plan*, trying strict then relaxed tiers.
 
@@ -277,12 +250,7 @@ def repair_schedule(
         ``"pre-run"`` preserves the original phase structure (hint
         seeding); ``"mid-run"`` compacts the residual pairs into the
         fewest feasible phases.
-    relax_contention_budget:
-        Ceiling for the relaxed tier's predicted serialization cost as
-        a fraction of the load optimum (see
-        :func:`check_contention_budget`).
     """
-    injector = FaultInjector(plan, topology)
     full = aapc_message_set(topology)
     pend: Tuple[Message, ...] = (
         tuple(sorted(full)) if pending is None else tuple(sorted(pending))
@@ -291,7 +259,7 @@ def repair_schedule(
     completed = len(full) - len(pend_set)
     decisions: List[RepairDecision] = []
 
-    dead = dead_links(plan)
+    dead = {frozenset(lf.link) for lf in plan.dead_link_faults()}
     metric_inc("repair.repairs_attempted")
     try:
         repaired = schedule_pairs(
@@ -320,9 +288,10 @@ def repair_schedule(
         schedule, repaired, pend_set
     )
     sync_plan = build_sync_plan(repaired)
+    damage = PathDamage(plan, topology)
     blackouts = plan.sync_blackouts()
     kept_plan, dropped = split_sync_plan(
-        sync_plan, lambda s: sync_deliverable(s, injector, blackouts)
+        sync_plan, lambda s: sync_deliverable(s, damage, blackouts)
     )
     shape = dict(
         phases_before=schedule.num_phases,
@@ -365,10 +334,8 @@ def repair_schedule(
 
     # Tier 2: drop the undeliverable syncs, bound the contention cost.
     metric_inc("repair.repairs_attempted")
-    predicted = predicted_serialization_cost(dropped, injector, msize, params)
-    ok, why = check_contention_budget(
-        topology, msize, params, predicted, relax_contention_budget
-    )
+    predicted = predicted_serialization_cost(dropped, damage, msize, params)
+    ok, why = check_contention_budget(topology, msize, params, predicted)
     decision = RepairDecision(
         time, stage, "repair-relaxed", ok, why,
         predicted_cost=predicted,

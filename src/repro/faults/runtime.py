@@ -11,8 +11,9 @@ watchdog aborts it.  This module implements the policy layer as a
    pairs into contention-free phases on the degraded topology and
    regenerate the sync plan, keeping the scheduled algorithm alive.
 2. **Relaxed repair** — same, but undeliverable syncs are dropped when
-   their predicted serialization cost stays within an attribution
-   budget (bounded contention instead of an algorithm switch).
+   their predicted serialization cost stays within the fixed
+   attribution budget :data:`~repro.faults.repair.RELAX_CONTENTION_BUDGET`
+   (bounded contention instead of an algorithm switch).
 3. **Fallback** — abandon the schedule for a sync-free baseline; the
    algorithm is picked by :func:`choose_fallback`, which consults the
    degraded topology's residual link capacities rather than only the
@@ -23,9 +24,13 @@ watchdog aborts it.  This module implements the policy layer as a
   permanently failed link that carries traffic voids it: everything
   crossing the link serialises behind its residual trickle) and
   decides whether the sync-dependent scheduled routine can complete at
-  all.
+  all.  Like repair and the fallback chooser, it reads the plan's
+  time-free damage from the plan itself (dead links, permanently failed
+  links, sync blackouts, capacity floors); only the simulated run
+  consults the :class:`~repro.faults.injector.FaultInjector`.
 * :func:`run_resilient` — run an algorithm under a plan with the
-  watchdog armed, climbing the ladder *pre-run* (the plan declares
+  watchdog armed (its default config, whenever the plan is non-empty),
+  climbing the ladder *pre-run* (the plan declares
   permanent damage) or *mid-run* (the watchdog fired; the residual pair
   set from the stall diagnosis is re-packed and the run resumed).
   Every repair attempt is a typed
@@ -42,23 +47,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import ReproError, StallError
+from repro.errors import StallError
 from repro.algorithms.registry import get_algorithm
 from repro.core.pattern import aapc_message_set
 from repro.core.program import build_programs
 from repro.faults.events import FallbackDecision, RepairDecision
-from repro.faults.plan import FOREVER, FaultPlan
-from repro.faults.repair import (
-    RELAX_CONTENTION_BUDGET,
-    plan_threatens_schedule,
-    repair_schedule,
-)
-from repro.faults.watchdog import StallDiagnosis, WatchdogConfig
+from repro.faults.plan import FaultPlan, PathDamage
+from repro.faults.repair import plan_threatens_schedule, repair_schedule
+from repro.faults.watchdog import StallDiagnosis
 from repro.sim.executor import RunResult, run_programs
 from repro.sim.params import NetworkParams
 from repro.topology.analysis import subtree_machine_counts
 from repro.topology.graph import Topology
-from repro.topology.paths import PathOracle
 
 #: Algorithms whose correctness depends on pair-wise sync messages.
 SYNC_DEPENDENT = frozenset({"generated", "scheduled"})
@@ -74,8 +74,7 @@ def fallback_algorithm(num_machines: int) -> str:
 
 def _stepwise_cost(
     topology: Topology,
-    oracle: PathOracle,
-    floors: Dict[frozenset, float],
+    damage: PathDamage,
     send_peer: Callable[[int, int, int], int],
     num_steps: int,
 ) -> float:
@@ -95,12 +94,11 @@ def _stepwise_cost(
             peer = send_peer(i, n, step)
             if peer == i:
                 continue
-            for edge in oracle.path_edges(machines[i], machines[peer]):
+            for edge in damage.oracle.path_edges(machines[i], machines[peer]):
                 usage[edge] = usage.get(edge, 0) + 1
         worst = 0.0
         for edge, count in usage.items():
-            floor = max(floors.get(frozenset(edge), 1.0), 1e-9)
-            worst = max(worst, count / floor)
+            worst = max(worst, count / damage.edge_floor(edge))
         total += worst
     return total
 
@@ -114,8 +112,8 @@ def choose_fallback(
     Without link faults this is the classic rank-count rule
     (:func:`fallback_algorithm`).  With a degraded topology, pairwise
     and ring are costed step by step against the plan's per-link
-    capacity floors (:meth:`~repro.faults.plan.FaultPlan.link_floor_factors`)
-    and ring wins when it is *meaningfully* cheaper.  Both baselines
+    capacity floors (:class:`~repro.faults.plan.PathDamage`) and ring
+    wins when it is *meaningfully* cheaper.  Both baselines
     move the same total bytes over every link, so on symmetric trees
     the costs usually land within a few percent of each other; ring
     only overrides the rank-count rule past a 5% margin, where the
@@ -126,17 +124,16 @@ def choose_fallback(
     base = fallback_algorithm(n)
     if plan is None or plan.empty or base == "mpich-ring":
         return base
-    floors = plan.link_floor_factors()
-    if not floors or min(floors.values()) >= 1.0:
+    if min(plan.link_floor_factors().values(), default=1.0) >= 1.0:
         return base
-    oracle = PathOracle(topology)
+    damage = PathDamage(plan, topology)
     # Send-peer formulas of PairwiseAlltoall / RingAlltoall
     # (repro.algorithms.mpich); counting sends counts every message.
     pairwise = _stepwise_cost(
-        topology, oracle, floors, lambda i, n_, s: i ^ (s + 1), n - 1
+        topology, damage, lambda i, n_, s: i ^ (s + 1), n - 1
     )
     ring = _stepwise_cost(
-        topology, oracle, floors, lambda i, n_, s: (i + s + 1) % n_, n - 1
+        topology, damage, lambda i, n_, s: (i + s + 1) % n_, n - 1
     )
     return "mpich-ring" if ring < 0.95 * pairwise else base
 
@@ -147,22 +144,9 @@ class FaultAssessment:
 
     #: The sync-dependent scheduled routine can complete under the plan.
     scheduled_viable: bool
-    #: A sync-free fallback can complete (data still flows everywhere).
-    fallback_viable: bool
     #: A residual-0 permanent failure splits the tree: nothing completes.
     partitioned: bool
-    #: The schedule's contention-freedom guarantee survives the plan.
-    contention_free: bool
     reasons: List[str] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "scheduled_viable": self.scheduled_viable,
-            "fallback_viable": self.fallback_viable,
-            "partitioned": self.partitioned,
-            "contention_free": self.contention_free,
-            "reasons": list(self.reasons),
-        }
 
 
 def assess_fault_plan(topology: Topology, plan: FaultPlan) -> FaultAssessment:
@@ -179,17 +163,12 @@ def assess_fault_plan(topology: Topology, plan: FaultPlan) -> FaultAssessment:
     """
     plan.validate_against(topology)
     reasons: List[str] = []
-    permanent = plan.permanent_link_failures()
-    partitioned = any(lf.residual <= 0 for lf in permanent)
-    if partitioned:
-        dead = [lf.link for lf in permanent if lf.residual <= 0]
+    dead = [lf.link for lf in plan.dead_link_faults()]
+    if dead:
         reasons.append(
             f"link(s) {dead} are permanently dead (residual=0): the tree "
             "is partitioned, no algorithm can complete"
         )
-
-    scheduled_viable = True
-    contention_free = True
 
     # A permanently failed link drops every control (sync) message
     # crossing it, forever — the retry/backoff protocol cannot recover,
@@ -197,12 +176,10 @@ def assess_fault_plan(topology: Topology, plan: FaultPlan) -> FaultAssessment:
     counts = subtree_machine_counts(topology)
     affected = {
         tuple(sorted(lf.link))
-        for lf in permanent
+        for lf in plan.permanent_link_failures()
         if counts[tuple(lf.link)] and counts[tuple(lf.link)[::-1]]
     }
     if affected:
-        scheduled_viable = False
-        contention_free = False
         reasons.append(
             "permanent link failure(s) on "
             f"{sorted(affected)} drop sync "
@@ -211,28 +188,18 @@ def assess_fault_plan(topology: Topology, plan: FaultPlan) -> FaultAssessment:
             "degraded topology"
         )
 
-    for sf in plan.sync_faults:
-        if (
-            sf.loss >= 1.0
-            and sf.end == FOREVER
-            and sf.src is None
-            and sf.dst is None
-        ):
-            scheduled_viable = False
-            reasons.append(
-                "a permanent total sync-loss fault (loss=1, no end) makes "
-                "every pair-wise synchronization unrecoverable"
-            )
+    blackouts = [sf for sf in plan.sync_blackouts() if not sf.targeted]
+    for _ in blackouts:
+        reasons.append(
+            "a permanent total sync-loss fault (loss=1, no end) makes "
+            "every pair-wise synchronization unrecoverable"
+        )
 
     return FaultAssessment(
-        scheduled_viable=scheduled_viable and not partitioned,
-        fallback_viable=not partitioned,
-        partitioned=partitioned,
-        contention_free=contention_free and not partitioned,
+        scheduled_viable=not (dead or affected or blackouts),
+        partitioned=bool(dead),
         reasons=reasons,
     )
-
-
 @dataclass
 class ResilientResult:
     """What :func:`run_resilient` did, end to end."""
@@ -286,10 +253,8 @@ def run_resilient(
     params: NetworkParams,
     *,
     faults: Optional[FaultPlan] = None,
-    watchdog: Optional[WatchdogConfig] = None,
     pre_assess: bool = True,
     repair: bool = True,
-    relax_contention_budget: float = RELAX_CONTENTION_BUDGET,
     telemetry: bool = False,
     max_trace_records: Optional[int] = None,
 ) -> ResilientResult:
@@ -299,17 +264,19 @@ def run_resilient(
     partitioned cluster aborts immediately; (2) with *repair*, a
     sync-dependent algorithm facing declared permanent damage gets its
     schedule repaired against the degraded topology (strict tier, then
-    relaxed tier bounded by *relax_contention_budget*) so the requested
-    algorithm can still complete; (3) only if repair fails does a
-    pre-run :class:`~repro.faults.events.FallbackDecision` switch to the
-    fallback picked by :func:`choose_fallback`; (4) the run executes
-    with the stall watchdog armed; (5) a mid-run stall first tries a
-    mid-run repair — the stall diagnosis's completed pairs define the
-    residual pair set, which is re-packed, re-synchronized and resumed —
-    and only then restarts with the fallback (modelling an
-    implementation that restarts the collective with a conservative
-    algorithm after a timeout); (6) if the fallback stalls too, give up
-    and report the diagnosis instead of hanging.
+    relaxed tier bounded by
+    :data:`~repro.faults.repair.RELAX_CONTENTION_BUDGET`) so the
+    requested algorithm can still complete; (3) only if repair fails
+    does a pre-run :class:`~repro.faults.events.FallbackDecision` switch
+    to the fallback picked by :func:`choose_fallback`; (4) the run
+    executes with the stall watchdog armed (default config, whenever the
+    plan is non-empty); (5) a mid-run stall first tries a mid-run repair
+    — the stall diagnosis's completed pairs define the residual pair
+    set, which is re-packed, re-synchronized and resumed — and only then
+    restarts with the fallback (modelling an implementation that
+    restarts the collective with a conservative algorithm after a
+    timeout); (6) if the fallback stalls too, give up and report the
+    diagnosis instead of hanging.
     """
     plan = faults
     requested = algorithm
@@ -325,7 +292,6 @@ def run_resilient(
             msize,
             params,
             faults=plan,
-            watchdog=watchdog,
             telemetry=telemetry,
             max_trace_records=max_trace_records,
             expected_blocks=expected_blocks,
@@ -335,22 +301,22 @@ def run_resilient(
         algo = get_algorithm(name)
         return run_with(algo.build_programs(topology, msize))
 
-    def build_template(name: str):
-        builder = getattr(get_algorithm(name), "build_schedule", None)
-        if builder is None:
+    def repaired_programs(**stage):
+        """Repair the requested schedule; its programs, or None on failure."""
+        template = get_algorithm(algorithm).build_schedule(topology)
+        rr = repair_schedule(topology, template, plan, msize, params, **stage)
+        repairs.extend(rr.decisions)
+        if not rr.succeeded:
             return None
-        try:
-            return builder(topology)
-        except ReproError:
-            return None
+        return build_programs(rr.schedule, rr.sync_plan, sync_mode="pairwise")
 
-    def finish(
-        result: RunResult,
+    def outcome(
+        result: Optional[RunResult],
         used: str,
         wasted: float,
         diagnosis: Optional[StallDiagnosis],
     ) -> ResilientResult:
-        if result.telemetry is not None:
+        if result is not None and result.telemetry is not None:
             result.telemetry.recovery_decisions = (
                 tuple(repairs) + tuple(decisions)
             )
@@ -362,49 +328,41 @@ def run_resilient(
             repairs=repairs,
             diagnosis=diagnosis,
             assessment=assessment,
-            completed=True,
+            completed=result is not None,
             wasted_time=wasted,
         )
+
+    def abort(
+        time: float,
+        stalled: str,
+        cause: str,
+        wasted: float,
+        diagnosis: Optional[StallDiagnosis],
+    ) -> ResilientResult:
+        decisions.append(
+            FallbackDecision(
+                time, "abort", stalled, "none", cause, wasted_time=wasted
+            )
+        )
+        return outcome(None, "none", wasted, diagnosis)
 
     have_faults = plan is not None and not plan.empty
     if have_faults and pre_assess:
         assessment = assess_fault_plan(topology, plan)
         if assessment.partitioned:
-            decisions.append(
-                FallbackDecision(
-                    0.0, "abort", algorithm, "none",
-                    "; ".join(assessment.reasons),
-                )
-            )
-            return ResilientResult(
-                result=None,
-                algorithm_used="none",
-                requested_algorithm=requested,
-                decisions=decisions,
-                repairs=repairs,
-                assessment=assessment,
-                completed=False,
+            return abort(
+                0.0, algorithm, "; ".join(assessment.reasons), 0.0, None
             )
 
     # Tier 1/2: pre-run schedule repair against declared permanent damage.
-    repaired_programs = None
+    programs = None
     if (
         have_faults
         and repair
         and algorithm in SYNC_DEPENDENT
         and plan_threatens_schedule(plan)
     ):
-        template = build_template(algorithm)
-        if template is not None:
-            rr = repair_schedule(
-                topology, template, plan, msize, params,
-                relax_contention_budget=relax_contention_budget,
-            )
-            repairs.extend(rr.decisions)
-            if rr.succeeded:
-                repaired_programs = build_programs(
-                    rr.schedule, rr.sync_plan, sync_mode="pairwise"
-                )
+        programs = repaired_programs()
 
     # Tier 3 (pre-run): fall back only when repair did not rescue it.
     chosen = algorithm
@@ -412,7 +370,7 @@ def run_resilient(
         assessment is not None
         and algorithm in SYNC_DEPENDENT
         and not assessment.scheduled_viable
-        and repaired_programs is None
+        and programs is None
     ):
         decisions.append(
             FallbackDecision(
@@ -426,11 +384,11 @@ def run_resilient(
     diagnosis: Optional[StallDiagnosis] = None
     wasted = 0.0
     try:
-        if repaired_programs is not None and chosen == requested:
-            result = run_with(repaired_programs)
+        if programs is not None:
+            result = run_with(programs)
         else:
             result = attempt(chosen)
-        return finish(result, chosen, wasted, None)
+        return outcome(result, chosen, wasted, None)
     except StallError as exc:
         diagnosis = exc.diagnosis
         stall_time = diagnosis.time if diagnosis is not None else 0.0
@@ -439,23 +397,7 @@ def run_resilient(
             diagnosis.suspected_cause if diagnosis is not None else str(exc)
         )
         if chosen == fb:
-            decisions.append(
-                FallbackDecision(
-                    stall_time, "abort", chosen, "none", cause,
-                    wasted_time=wasted,
-                )
-            )
-            return ResilientResult(
-                result=None,
-                algorithm_used="none",
-                requested_algorithm=requested,
-                decisions=decisions,
-                repairs=repairs,
-                diagnosis=diagnosis,
-                assessment=assessment,
-                completed=False,
-                wasted_time=wasted,
-            )
+            return abort(stall_time, chosen, cause, wasted, diagnosis)
 
         # Tier 1/2 (mid-run): re-pack the residual pairs and resume.
         # Crashed ranks cannot be repaired around — their pairs are
@@ -467,37 +409,27 @@ def run_resilient(
             and diagnosis is not None
             and not diagnosis.crashed_ranks
         ):
-            template = build_template(chosen)
-            if template is not None:
-                done = {tuple(p) for p in diagnosis.completed_pairs}
-                pending = sorted(
-                    m
-                    for m in aapc_message_set(topology)
-                    if (m.src, m.dst) not in done
-                )
-                rr = repair_schedule(
-                    topology, template, plan, msize, params,
-                    pending=pending,
-                    stage="mid-run",
-                    time=stall_time,
-                    relax_contention_budget=relax_contention_budget,
-                )
-                repairs.extend(rr.decisions)
-                if rr.succeeded:
-                    expected = {m: set() for m in topology.machines}
-                    for msg in pending:
-                        expected[msg.dst].add((msg.src, msg.dst))
-                    programs = build_programs(
-                        rr.schedule, rr.sync_plan, sync_mode="pairwise"
-                    )
-                    try:
-                        result = run_with(programs, expected)
-                        return finish(result, chosen, wasted, diagnosis)
-                    except StallError as exc2:
-                        if exc2.diagnosis is not None:
-                            diagnosis = exc2.diagnosis
-                            wasted += diagnosis.time
-                            cause = diagnosis.suspected_cause
+            done = {tuple(p) for p in diagnosis.completed_pairs}
+            pending = sorted(
+                m
+                for m in aapc_message_set(topology)
+                if (m.src, m.dst) not in done
+            )
+            programs = repaired_programs(
+                pending=pending, stage="mid-run", time=stall_time
+            )
+            if programs is not None:
+                expected = {m: set() for m in topology.machines}
+                for msg in pending:
+                    expected[msg.dst].add((msg.src, msg.dst))
+                try:
+                    result = run_with(programs, expected)
+                    return outcome(result, chosen, wasted, diagnosis)
+                except StallError as exc2:
+                    if exc2.diagnosis is not None:
+                        diagnosis = exc2.diagnosis
+                        wasted += diagnosis.time
+                        cause = diagnosis.suspected_cause
 
         decisions.append(
             FallbackDecision(
@@ -508,29 +440,15 @@ def run_resilient(
 
     try:
         result = attempt(fb)
-        return finish(result, fb, wasted, diagnosis)
+        return outcome(result, fb, wasted, diagnosis)
     except StallError as exc:
         final = exc.diagnosis if exc.diagnosis is not None else diagnosis
         if exc.diagnosis is not None:
             wasted += exc.diagnosis.time
-        decisions.append(
-            FallbackDecision(
-                final.time if final is not None else 0.0,
-                "abort",
-                fb,
-                "none",
-                final.suspected_cause if final is not None else str(exc),
-                wasted_time=wasted,
-            )
-        )
-        return ResilientResult(
-            result=None,
-            algorithm_used="none",
-            requested_algorithm=requested,
-            decisions=decisions,
-            repairs=repairs,
-            diagnosis=final,
-            assessment=assessment,
-            completed=False,
-            wasted_time=wasted,
+        return abort(
+            final.time if final is not None else 0.0,
+            fb,
+            final.suspected_cause if final is not None else str(exc),
+            wasted,
+            final,
         )

@@ -35,7 +35,6 @@ from repro.topology.graph import Topology
 
 if False:  # typing only — keep repro.sim import-light when faults are unused
     from repro.faults.plan import FaultPlan
-    from repro.faults.watchdog import WatchdogConfig
 
 
 @dataclass
@@ -101,7 +100,6 @@ def run_programs(
     expected_blocks: Optional[Dict[str, Set[Block]]] = None,
     link_bandwidths: Optional[Dict[Tuple[str, str], float]] = None,
     faults: Optional["FaultPlan"] = None,
-    watchdog: Optional["WatchdogConfig"] = None,
     monitor: Optional[MonitorConfig] = None,
 ) -> RunResult:
     """Simulate the programs and return timing plus correctness results.
@@ -135,11 +133,9 @@ def run_programs(
         Optional :class:`~repro.faults.plan.FaultPlan`.  Link capacities
         degrade per the plan, sync messages are lost/delayed/duplicated
         (and retransmitted with bounded backoff), stragglers slow down
-        and crashed ranks stop.  Implies the stall watchdog (default
-        config) unless *watchdog* overrides it.
-    watchdog:
-        Optional :class:`~repro.faults.watchdog.WatchdogConfig`.  When
-        active, a run that stops making progress raises
+        and crashed ranks stop.  A non-empty plan arms the stall
+        watchdog (default :class:`~repro.faults.watchdog.WatchdogConfig`):
+        a run that stops making progress raises
         :class:`~repro.errors.StallError` carrying a
         :class:`~repro.faults.watchdog.StallDiagnosis` instead of
         hanging or dying with an unexplained deadlock.
@@ -186,10 +182,6 @@ def run_programs(
             bus=bus,
         )
         injector.publish_windows()
-        if watchdog is None:
-            from repro.faults.watchdog import WatchdogConfig
-
-            watchdog = WatchdogConfig()
 
     network = FlowNetwork(
         engine, topology, params, link_bandwidths, bus=bus,
@@ -412,21 +404,17 @@ def run_programs(
             ),
         )
 
-    dog = None
-    if watchdog is not None:
-        from repro.faults.watchdog import StallWatchdog
+    if injector is not None:
+        from repro.faults.events import RankCrashed
+        from repro.faults.watchdog import StallWatchdog, WatchdogConfig
 
-        dog = StallWatchdog(
+        StallWatchdog(
             engine,
-            watchdog,
+            WatchdogConfig(),
             progress=lambda: ops_completed[0],
             diagnose=diagnose,
             all_done=all_done,
-        )
-        dog.start()
-
-    if injector is not None:
-        from repro.faults.events import RankCrashed
+        ).start()
 
         def make_crash(rank: str):
             def crash() -> None:
@@ -482,7 +470,7 @@ def run_programs(
         m for m in machines if m not in rank_finish and m not in crashed
     ]
     if unfinished:
-        if injector is not None or watchdog is not None:
+        if injector is not None:
             diagnosis = diagnose(engine.now)
             raise StallError(
                 f"ranks {unfinished[:5]} never finished "

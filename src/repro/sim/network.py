@@ -215,7 +215,7 @@ class FlowNetwork:
         # piecewise-constant rate stays exact.  Capacities change
         # globally, so the whole flow set is dirtied.
         if injector is not None:
-            for t in injector.boundaries():
+            for t in injector.plan.boundaries():
                 if t > 0:
                     self.engine.schedule(t, self._boundary_resolve)
         # Metric handles captured once; None handles keep the hot paths

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -342,19 +342,6 @@ class Topology:
         """
         rooting = self.rooting
         return frozenset(rooting.nodes[x] for x in rooting.side(u, v).tolist())
-
-    def machines_in(self, nodes: Iterable[str]) -> List[str]:
-        """Machines among *nodes*, in rank order."""
-        node_set = set(nodes)
-        return [m for m in self._machines if m in node_set]
-
-    def subtree_nodes(self, root: str, branch: str) -> FrozenSet[str]:
-        """Nodes of the subtree hanging off *root* through neighbour *branch*.
-
-        Equivalent to the component of *branch* when link (root, branch)
-        is removed.
-        """
-        return self.component_without_edge(branch, root)
 
     def subtree_machines(self, root: str, branch: str) -> List[str]:
         """Machines in the subtree of *root* through *branch*, rank order."""

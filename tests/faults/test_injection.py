@@ -16,6 +16,7 @@ from repro.faults.plan import (
     FaultPlan,
     HostStraggler,
     LinkFault,
+    PathDamage,
     RankCrash,
     SyncFault,
 )
@@ -46,22 +47,25 @@ def run(topo, programs, plan=None, **kw):
 def test_injector_drops_syncs_across_a_failed_trunk(topo):
     """Built from the plan and the topology, the injector looks up every
     sync's path: one crossing the failed trunk is dropped and the trunk
-    edge is reported; a same-switch sync is delivered."""
+    edge is reported; a same-switch sync is delivered.  The plan's
+    time-free damage along the same paths agrees."""
     plan = FaultPlan(
         name="trunk-down",
         link_faults=[LinkFault(link=TRUNK, failed=True, residual=0.02)],
     )
     injector = FaultInjector(plan, topo)
+    damage = PathDamage(plan, topo)
 
     assert injector.path_control_blocked("n0", "n2", 0.0) == ("s0", "s1")
     assert injector.path_control_blocked("n2", "n0", 0.0) == ("s1", "s0")
-    assert injector.path_control_blocked_forever("n0", "n2") == ("s0", "s1")
-    assert injector.path_factor_floor("n0", "n2") == 0.02
+    assert damage.blocked_forever("n0", "n2") == ("s0", "s1")
+    assert damage.floor("n0", "n2") == 0.02
     assert injector.sync_fate("n0", "n2", 1, 0.0, 0) == (DROP, 0.0)
     assert injector.stats.syncs_link_dropped == 1
 
     assert injector.path_control_blocked("n0", "n1", 0.0) is None
-    assert injector.path_factor_floor("n0", "n1") == 1.0
+    assert damage.blocked_forever("n0", "n1") is None
+    assert damage.floor("n0", "n1") == 1.0
     assert injector.sync_fate("n0", "n1", 2, 0.0, 0) == (DELIVER, 0.0)
     assert injector.stats.syncs_link_dropped == 1
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import FaultPlanError
 from repro.faults.plan import (
     FOREVER,
@@ -81,6 +82,59 @@ def test_empty_and_boundaries():
 def test_invalid_fault_specs_raise(bad):
     with pytest.raises(FaultPlanError):
         bad()
+
+
+# Fault plans are JSON, and Python's json module reads the non-standard
+# tokens Infinity and NaN.  Each case below used to be accepted and then
+# crash the sync layer, zero every delay, send the engine's clock
+# backwards or leave a window never active.
+NON_FINITE_PLANS = {
+    "infinite-delay-mean": (
+        '{"sync_faults": [{"delay_prob": 1.0, "delay_mean": Infinity}]}'
+    ),
+    "nan-delay-mean": (
+        '{"sync_faults": [{"delay_prob": 1.0, "delay_mean": NaN}]}'
+    ),
+    "nan-crash-time": '{"crashes": [{"rank": "n0", "time": NaN}]}',
+    "nan-straggler-factor": (
+        '{"stragglers": [{"rank": "n0", "factor": NaN}]}'
+    ),
+    "nan-link-start": (
+        '{"link_faults": [{"link": ["s0", "s1"], "start": NaN, '
+        '"failed": true}]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_PLANS))
+def test_non_finite_numbers_are_rejected(case, tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(NON_FINITE_PLANS[case], encoding="utf-8")
+    with pytest.raises(FaultPlanError, match="must be a finite number"):
+        load_fault_plan(str(path))
+
+
+def test_non_finite_plan_is_a_one_line_cli_error(tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(NON_FINITE_PLANS["infinite-delay-mean"], encoding="utf-8")
+    code = main([
+        "simulate", "fig1", "--msize", "16KB", "--algorithm", "generated",
+        "--no-ledger", "--faults", str(path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "delay_mean must be a finite" in err
+
+
+def test_open_ended_window_end_is_allowed():
+    plan = FaultPlan.from_dict(
+        {"link_faults": [{"link": ["s0", "s1"], "end": float("inf")}]}
+    )
+    assert plan.link_faults[0].end == FOREVER
+    with pytest.raises(FaultPlanError, match="finite"):
+        FaultPlan.from_dict(
+            {"link_faults": [{"link": ["s0", "s1"], "end": float("nan")}]}
+        )
 
 
 def test_validate_against_topology():

@@ -22,11 +22,7 @@ from repro.core.verify import verify_schedule, verify_schedule_for_pairs
 from repro.errors import SchedulingError
 from repro.faults.events import FallbackDecision, RepairDecision
 from repro.faults.plan import FOREVER, FaultPlan, LinkFault, SyncFault
-from repro.faults.repair import (
-    dead_links,
-    plan_threatens_schedule,
-    repair_schedule,
-)
+from repro.faults.repair import plan_threatens_schedule, repair_schedule
 from repro.faults.runtime import choose_fallback, run_resilient
 from repro.faults.watchdog import StallDiagnosis
 from repro.sim.params import NetworkParams
@@ -132,7 +128,7 @@ class TestRepairEngine:
         topo = chain_of_switches([2, 2])
         template = get_algorithm("generated").build_schedule(topo)
         plan = fail(("s0", "s1"), residual=0.0)
-        assert dead_links(plan) == {frozenset(("s0", "s1"))}
+        assert [lf.link for lf in plan.dead_link_faults()] == [("s0", "s1")]
         rr = repair_schedule(topo, template, plan, MSIZE, NetworkParams())
         assert not rr.succeeded
         assert not rr.decisions[0].succeeded

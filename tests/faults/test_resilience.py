@@ -109,8 +109,9 @@ def test_pre_run_fallback_via_assessment(topo):
     assert [d.stage for d in res.decisions] == ["pre-run"]
     assert res.assessment is not None
     assert not res.assessment.scheduled_viable
-    assert res.assessment.fallback_viable
-    assert not res.assessment.contention_free
+    assert not res.assessment.partitioned
+    (reason,) = res.assessment.reasons
+    assert "contention-freedom guarantee is void" in reason
     # Repair ran before the fallback and was refused on the record.
     assert res.repairs and not any(r.succeeded for r in res.repairs)
     assert not res.repaired
@@ -141,14 +142,14 @@ def test_assessment_of_benign_and_total_loss_plans(topo):
         sync_faults=[SyncFault(loss=0.3)],
     )
     a = assess_fault_plan(topo, benign)
-    assert a.scheduled_viable and a.fallback_viable and a.contention_free
+    assert a.scheduled_viable and not a.partitioned and not a.reasons
 
     total_loss = FaultPlan(
         name="total-loss", seed=0, sync_faults=[SyncFault(loss=1.0)]
     )
     a = assess_fault_plan(topo, total_loss)
     assert not a.scheduled_viable
-    assert a.fallback_viable
+    assert not a.partitioned
     assert a.reasons
 
 

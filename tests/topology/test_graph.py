@@ -192,10 +192,6 @@ class TestStructureQueries:
         assert topo.subtree_machines("s0", "s1") == ["n1"]
         assert topo.subtree_machines("s0", "n0") == ["n0"]
 
-    def test_machines_in_preserves_rank_order(self):
-        topo = build_line()
-        assert topo.machines_in({"n1", "n0", "s0"}) == ["n0", "n1"]
-
     def test_degree(self):
         topo = build_line()
         assert topo.degree("s0") == 2
