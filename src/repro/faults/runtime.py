@@ -44,6 +44,7 @@ watchdog aborts it.  This module implements the policy layer as a
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -283,7 +284,13 @@ def run_resilient(
     decisions: List[FallbackDecision] = []
     repairs: List[RepairDecision] = []
     assessment: Optional[FaultAssessment] = None
-    fb = choose_fallback(topology, plan)
+
+    @functools.cache
+    def fallback() -> str:
+        """The fallback algorithm, chosen on first use: most runs under a
+        plan complete without one, and costing it builds a
+        :class:`~repro.faults.plan.PathDamage`."""
+        return choose_fallback(topology, plan)
 
     def run_with(programs, expected_blocks=None) -> RunResult:
         return run_programs(
@@ -372,14 +379,14 @@ def run_resilient(
         and not assessment.scheduled_viable
         and programs is None
     ):
+        chosen = fallback()
         decisions.append(
             FallbackDecision(
-                0.0, "pre-run", algorithm, fb,
+                0.0, "pre-run", algorithm, chosen,
                 "; ".join(assessment.reasons)
                 or "fault plan makes sync messages unrecoverable",
             )
         )
-        chosen = fb
 
     diagnosis: Optional[StallDiagnosis] = None
     wasted = 0.0
@@ -396,7 +403,7 @@ def run_resilient(
         cause = (
             diagnosis.suspected_cause if diagnosis is not None else str(exc)
         )
-        if chosen == fb:
+        if chosen == fallback():
             return abort(stall_time, chosen, cause, wasted, diagnosis)
 
         # Tier 1/2 (mid-run): re-pack the residual pairs and resume.
@@ -433,11 +440,12 @@ def run_resilient(
 
         decisions.append(
             FallbackDecision(
-                stall_time, "mid-run", chosen, fb, cause,
+                stall_time, "mid-run", chosen, fallback(), cause,
                 wasted_time=wasted,
             )
         )
 
+    fb = fallback()
     try:
         result = attempt(fb)
         return outcome(result, fb, wasted, diagnosis)

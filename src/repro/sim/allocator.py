@@ -17,8 +17,10 @@ the active flow set (see :mod:`repro.sim.network` for the model):
   state of another — hence untouched flows keep their previous rates
   unchanged.  The scope is exactly that closure, or every flow after a
   fault boundary (capacities change globally).  The solve takes one
-  of three paths: a lone flow (every component of a contention-free
-  schedule) gets its path minimum without any filling; a component of
+  of three paths: a lone flow gets its path minimum
+  (:meth:`~IncrementalAllocator.lone_rate`) without any filling — the
+  network calls the same method when a flow starts on idle edges, so
+  a contention-free schedule's flows never reach a solve; a component of
   at most ``_VECTORIZE_EDGES`` edges runs the reference filler
   restricted to it; a wider one runs a numpy-vectorized waterfill.
 
@@ -282,13 +284,12 @@ class IncrementalAllocator(BaseAllocator):
         return self._solve_numpy(scope, comp_edges, now)
 
     # -- fast paths ----------------------------------------------------
-    def _solve_single(
-        self, flow: "Flow", now: float
-    ) -> Tuple[int, int, int]:
-        """A lone flow gets the min capacity along its path (eta = 1).
+    def lone_rate(self, flow: "Flow", now: float) -> float:
+        """The rate of a flow alone on its path: the path's minimum
+        single-flow capacity (eta = 1), scaled by the fault factors.
 
-        Contention-free schedules put **every** flow in this case, so
-        it avoids even the bookkeeping of the python filler.
+        The network also calls this when a flow starts on idle edges
+        (a lone-flow start), so that flow never enters a settle.
         """
         net = self.net
         params = net.params
@@ -305,7 +306,14 @@ class IncrementalAllocator(BaseAllocator):
                 capacity *= injector.link_factor(net._edges[e], now)
             if capacity < best:
                 best = capacity
-        flow.rate = best
+        return best
+
+    def _solve_single(
+        self, flow: "Flow", now: float
+    ) -> Tuple[int, int, int]:
+        """A lone flow gets :meth:`lone_rate`, with no filling at all."""
+        net = self.net
+        flow.rate = self.lone_rate(flow, now)
         if net.max_edge_multiplexing < 1:
             net.max_edge_multiplexing = 1
         return len(flow.eids), 1, 1

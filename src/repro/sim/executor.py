@@ -7,6 +7,12 @@ per rank that interprets the rank's operation sequence against
 each posted operation, and reports completion times plus
 data-correctness results.
 
+The rank interpreter dispatches on ``op.kind is`` against local
+constants and pays only for what is watched: trace records are built
+only when a bus observes the run, and what each rank is parked on is
+kept only when a fault injector (its watchdog and crashes) can read
+it.
+
 Data correctness: every data receive records the logical AAPC blocks it
 carried; at the end each rank must have received every block addressed
 to it exactly once (forwarding algorithms like Bruck may also carry
@@ -196,17 +202,12 @@ def run_programs(
         if telemetry:
             collector = LinkMetricsCollector(bus)
             bus.subscribe(LinkOccupancy, occupancy_log.append)
-
-    if bus is not None:
         _publish = bus.publish
 
-        def emit(rank: str, what: str, peer: str = "", tag: int = 0,
-                 phase: int = -1) -> None:
-            _publish(TraceRecord(engine.now, rank, what, peer, tag, phase))
-    else:
-        def emit(rank: str, what: str, peer: str = "", tag: int = 0,
-                 phase: int = -1) -> None:
-            pass
+    def emit(rank: str, what: str, peer: str = "", tag: int = 0,
+             phase: int = -1) -> None:
+        """Trace one rank event; call only when ``observing``."""
+        _publish(TraceRecord(engine.now, rank, what, peer, tag, phase))
 
     rank_finish: Dict[str, float] = {}
     received: Dict[str, Set[Block]] = {m: set() for m in machines}
@@ -236,67 +237,84 @@ def run_programs(
     # Progress accounting for the stall watchdog: ops_completed ticks on
     # every finished operation; rank_state remembers what each rank is
     # currently parked on so a stall can be attributed to a phase and a
-    # pending sync edge rather than just "it hung".
+    # pending sync edge rather than just "it hung".  Only the watchdog
+    # and crashes read rank_state, and only crashes fill crashed, so a
+    # fault-free run keeps neither.
     ops_completed = [0]
     rank_state: Dict[str, Tuple[int, Op, float]] = {}
     crashed: Set[str] = set()
+    faulty = injector is not None
+
+    # The interpreter dispatches on ``kind is`` against locals.
+    ISEND, SEND, IRECV, RECV = (
+        OpKind.ISEND, OpKind.SEND, OpKind.IRECV, OpKind.RECV
+    )
+    WAITALL, SYNC_SEND, SYNC_RECV, BARRIER = (
+        OpKind.WAITALL, OpKind.SYNC_SEND, OpKind.SYNC_RECV, OpKind.BARRIER
+    )
+    isend, irecv = mpi.isend, mpi.irecv
+    sync_send, sync_recv = mpi.sync_send, mpi.sync_recv
 
     def rank_process(rank: str, program: Program):
         pending: List[Request] = []
         for op_index, op in enumerate(program.ops):
-            if rank in crashed:
-                return
-            rank_state[rank] = (op_index, op, engine.now)
-            if op.kind in (OpKind.ISEND, OpKind.SEND):
+            if faulty:
+                if rank in crashed:
+                    return
+                rank_state[rank] = (op_index, op, engine.now)
+            kind = op.kind
+            if kind is ISEND or kind is SEND:
                 yield overhead(rank)
-                emit(rank, "post_send", op.peer, op.tag, op.phase)
-                req = mpi.isend(
+                if observing:
+                    emit(rank, "post_send", op.peer, op.tag, op.phase)
+                req = isend(
                     rank, op.peer, op.tag, op.wire_size(msize), op.blocks,
                     phase=op.phase,
                 )
-                if op.kind == OpKind.SEND:
+                if kind is SEND:
                     if not req.done:
                         yield req.event
-                    emit(rank, "complete_send", op.peer, op.tag, op.phase)
+                    if observing:
+                        emit(rank, "complete_send", op.peer, op.tag, op.phase)
                 else:
                     pending.append(req)
-            elif op.kind in (OpKind.IRECV, OpKind.RECV):
+            elif kind is IRECV or kind is RECV:
                 yield overhead(rank)
-                emit(rank, "post_recv", op.peer, op.tag, op.phase)
-                req = mpi.irecv(rank, op.peer, op.tag, phase=op.phase)
-                if op.kind == OpKind.RECV:
+                if observing:
+                    emit(rank, "post_recv", op.peer, op.tag, op.phase)
+                req = irecv(rank, op.peer, op.tag, phase=op.phase)
+                if kind is RECV:
                     if not req.done:
                         yield req.event
                     _record_blocks(rank, req)
-                    emit(rank, "complete_recv", op.peer, op.tag, op.phase)
+                    if observing:
+                        emit(rank, "complete_recv", op.peer, op.tag, op.phase)
                 else:
                     pending.append(req)
-            elif op.kind == OpKind.WAITALL:
+            elif kind is WAITALL:
                 for req in pending:
                     if not req.done:
                         yield req.event
                     if req.kind == "recv":
                         _record_blocks(rank, req)
-                emit(rank, "waitall_done", "", 0, op.phase)
+                if observing:
+                    emit(rank, "waitall_done", "", 0, op.phase)
                 pending = []
-            elif op.kind == OpKind.SYNC_SEND:
+            elif kind is SYNC_SEND:
                 yield overhead(rank)
-                emit(rank, "sync_send", op.peer, op.tag, op.phase)
-                req = mpi.isend(
-                    rank, op.peer, op.tag, 0, (), sync=True, phase=op.phase
-                )
-                if not req.done:
-                    yield req.event
-            elif op.kind == OpKind.SYNC_RECV:
-                emit(rank, "sync_wait", op.peer, op.tag, op.phase)
-                req = mpi.irecv(rank, op.peer, op.tag, sync=True, phase=op.phase)
-                if not req.done:
-                    yield req.event
-                emit(rank, "sync_recv", op.peer, op.tag, op.phase)
-            elif op.kind == OpKind.BARRIER:
-                event = mpi.barrier(len(machines))
-                yield event
-                emit(rank, "barrier", "", 0, op.phase)
+                if observing:
+                    emit(rank, "sync_send", op.peer, op.tag, op.phase)
+                sync_send(rank, op.peer, op.tag, op.phase)
+            elif kind is SYNC_RECV:
+                if observing:
+                    emit(rank, "sync_wait", op.peer, op.tag, op.phase)
+                yield sync_recv(rank, op.peer, op.tag, op.phase)
+                if observing:
+                    emit(rank, "sync_recv", op.peer, op.tag, op.phase)
+            elif kind is BARRIER:
+                yield mpi.barrier(len(machines))
+                if observing:
+                    emit(rank, "barrier", "", 0, op.phase)
             else:  # pragma: no cover - exhaustive over OpKind
                 raise ProgramError(f"unknown op kind {op.kind!r}")
             ops_completed[0] += 1
@@ -304,7 +322,8 @@ def run_programs(
             raise ProgramError(
                 f"rank {rank} ended with {len(pending)} unwaited requests"
             )
-        rank_state.pop(rank, None)
+        if faulty:
+            rank_state.pop(rank, None)
         rank_finish[rank] = engine.now
 
     def _record_blocks(rank: str, req: Request) -> None:
@@ -425,8 +444,8 @@ def run_programs(
                 state = rank_state.get(rank)
                 op_index = state[0] if state else -1
                 phase = state[1].phase if state else -1
-                emit(rank, "crashed", "", 0, phase)
-                if bus is not None:
+                if observing:
+                    emit(rank, "crashed", "", 0, phase)
                     bus.publish(
                         RankCrashed(engine.now, rank, op_index, phase)
                     )

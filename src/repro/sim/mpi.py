@@ -13,6 +13,13 @@ Models the transport behaviour that the paper's algorithms exercise:
   messages do not consume modelled bandwidth.
 * **Matching** by ``(source, tag, sync-ness)`` with FIFO order within a
   key, like MPI's per-communicator matching.
+* **Syncs on a fault-free run** skip the requests and the match
+  queues: :meth:`SimMPI.sync_send` records the sync's arrival time
+  per ``(src, dst, tag)`` and :meth:`SimMPI.sync_recv` turns it into a
+  delay, or an event when the receiver comes first.  The times and the
+  scheduling moments are the eager path's, so runs are unchanged.
+  Under fault injection syncs stay requests and take the resilience
+  protocol (retransmission with backoff).
 * **Barrier** as a dissemination-style delay after the last arrival.
 
 Per-operation software overheads (with seeded jitter) are charged by the
@@ -23,7 +30,7 @@ timing.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.core.program import Block
@@ -81,6 +88,8 @@ class Request:
 
 #: Matching key: (sender, receiver, tag, is_sync).
 _MatchKey = Tuple[str, str, int, bool]
+#: Fault-free sync key: (sender, receiver, tag).
+_SyncKey = Tuple[str, str, int]
 
 
 class SimMPI:
@@ -135,6 +144,12 @@ class SimMPI:
         #: Sync deliveries still outstanding (watchdog diagnosis):
         #: key (src, dst, tag) -> {"phase", "attempts", "state"}.
         self.pending_syncs: Dict[Tuple[str, str, int], Dict[str, object]] = {}
+        # Fault-free syncs (see sync_send): per (src, dst, tag), the
+        # arrival times of syncs no receiver has taken yet, and the
+        # receivers parked before their sync was posted.  FIFO; a key
+        # is deleted once its queue drains.
+        self._sync_arrivals: Dict[_SyncKey, Deque[float]] = {}
+        self._sync_waiters: Dict[_SyncKey, Deque[SimEvent]] = {}
 
     # ------------------------------------------------------------------
     def isend(
@@ -199,6 +214,76 @@ class SimMPI:
             self._matched(send, req, sync)
         return req
 
+    def sync_send(self, rank: str, peer: str, tag: int, phase: int = -1) -> None:
+        """Post a pair-wise sync from *rank* to *peer*; it never blocks.
+
+        Under fault injection the sync is a zero-byte eager
+        :class:`Request` and takes the resilience protocol.  Otherwise
+        it is just its arrival time, ``post + sync_latency``: a parked
+        receiver is woken then, or the time waits for
+        :meth:`sync_recv`.  That is the float expression and the
+        scheduling moment of :meth:`_eager_transfer`, so the engine
+        sees the same events in the same order.
+        """
+        if self.injector is not None:
+            self.isend(rank, peer, tag, 0, (), sync=True, phase=phase)
+            return
+        if self._m_syncs_posted is not None:
+            self._m_syncs_posted.value += 1
+        key = (rank, peer, tag)
+        now = self.engine.now
+        arrival = now + self.params.sync_latency
+        waiters = self._sync_waiters.get(key)
+        if waiters is None:
+            self._sync_arrivals.setdefault(key, deque()).append(arrival)
+            return
+        event = waiters.popleft()
+        if not waiters:
+            del self._sync_waiters[key]
+        self.messages_matched += 1
+        self._deliver_sync(event, max(0.0, arrival - now))
+
+    def sync_recv(
+        self, rank: str, peer: str, tag: int, phase: int = -1
+    ) -> Union[float, SimEvent]:
+        """Wait for the next sync from *peer* to *rank*.
+
+        Returns what the rank yields: the delay until the sync arrives
+        when it was posted already (fault-free, no metrics to count its
+        delivery), else an event that fires on delivery.
+        """
+        if self.injector is not None:
+            return self.irecv(rank, peer, tag, sync=True, phase=phase).event
+        key = (peer, rank, tag)
+        arrivals = self._sync_arrivals.get(key)
+        if arrivals is None:
+            event = self.engine.event()
+            self._sync_waiters.setdefault(key, deque()).append(event)
+            return event
+        arrival = arrivals.popleft()
+        if not arrivals:
+            del self._sync_arrivals[key]
+        self.messages_matched += 1
+        delay = max(0.0, arrival - self.engine.now)
+        if self._m_syncs_retired is None:
+            return delay
+        event = self.engine.event()
+        self._deliver_sync(event, delay)
+        return event
+
+    def _deliver_sync(self, event: SimEvent, delay: float) -> None:
+        """Fire a fault-free sync's delivery *event* after *delay*."""
+        if self._m_syncs_retired is None:
+            self.engine.schedule(delay, event.trigger)
+            return
+        retired = self._m_syncs_retired
+
+        def deliver() -> None:
+            retired.value += 1
+            event.trigger()
+
+        self.engine.schedule(delay, deliver)
+
     def _matched(self, send: Request, recv: Request, sync: bool) -> None:
         self.messages_matched += 1
         recv.nbytes = send.nbytes
@@ -220,14 +305,8 @@ class SimMPI:
         latency = self.params.sync_latency if sync else self.params.eager_latency
         arrival = send.post_time + latency
         delay = max(0.0, arrival - self.engine.now)
-        if sync and self._m_syncs_retired is not None:
-            retired = self._m_syncs_retired
-
-            def deliver() -> None:
-                retired.value += 1
-                recv.event.trigger()
-
-            self.engine.schedule(delay, deliver)
+        if sync:
+            self._deliver_sync(recv.event, delay)
         else:
             self.engine.schedule(delay, recv.event.trigger)
 
@@ -394,11 +473,18 @@ class SimMPI:
     # ------------------------------------------------------------------
     def assert_drained(self) -> None:
         """Raise if unmatched operations remain (deadlock diagnosis)."""
-        if self._unmatched_sends or self._unmatched_recvs:
+        if (
+            self._unmatched_sends or self._unmatched_recvs
+            or self._sync_arrivals or self._sync_waiters
+        ):
             leftovers = [
                 (key, len(reqs))
                 for table in (self._unmatched_sends, self._unmatched_recvs)
                 for key, reqs in table.items()
+            ] + [
+                ((*key, True), len(queue))
+                for table in (self._sync_arrivals, self._sync_waiters)
+                for key, queue in table.items()
             ]
             raise SimulationError(
                 f"unmatched operations at end of run: {leftovers[:10]}"

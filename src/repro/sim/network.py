@@ -30,10 +30,17 @@ Rate-change instants are *batched*: adds/removes/completions at the
 same instant coalesce into a single settle that runs at the end of the
 engine's same-timestamp batch (:meth:`Engine.defer`), which keeps both
 event counts and re-solve counts manageable when e.g. the LAM
-algorithm launches ~1000 flows at once.  A completion that leaves
-every edge of its path idle (a *lone-flow finish*) defers no settle
-at all under an allocator that re-solves only the dirty closure: that
-settle's scope would be empty.  A flow's ``remaining`` is
+algorithm launches ~1000 flows at once.  Under an allocator that
+re-solves only the dirty closure, a flow that needs no company skips
+the solve.  A completion that leaves every edge of its path idle (a
+*lone-flow finish*) defers no settle at all: that settle's scope would
+be empty.  A start on a path whose edges are all idle (a *lone-flow
+start*) takes its rate at once, the one a settle would have given it
+alone in its closure, and dirties nothing; its deadline still waits
+for the end-of-batch settle, which pushes the instant's deadlines and
+arms the completion timer, so timer events keep their order.  A
+later same-instant start on one of its edges dirties its own path, and
+the settle's closure walk re-rates both.  A flow's ``remaining`` is
 caught up when it is re-solved, at its completion deadline, or via
 :meth:`sync_progress`; the bytes it moved collect in a per-flow
 ``pending`` total that is folded into the byte ledgers
@@ -194,7 +201,13 @@ class FlowNetwork:
         self._edge_sizes: List[Dict[float, int]] = []
         self._edge_largest: List[float] = []
         self._next_fid = 0
+        #: The allocator holds dirty edges that the next settle solves.
         self._dirty = False
+        #: A settle is deferred to the end of the current batch.
+        self._settle_deferred = False
+        #: Deadline entries of this instant's lone-flow starts, pushed
+        #: by the end-of-batch settle.
+        self._lone_pushes: List[Tuple[float, int, int]] = []
         self._allocator = make_allocator(params.allocator, self)
         #: (deadline, fid, flow.gen) completion heap; entries whose fid
         #: is gone or whose gen lags the flow's are stale and skipped.
@@ -310,8 +323,12 @@ class FlowNetwork:
         edge_sizes = self._edge_sizes
         largest = self._edge_largest
         size = flow.size
+        lone = True
         for e in eids:
-            edge_flows[e].add(fid)
+            fids = edge_flows[e]
+            if fids:
+                lone = False
+            fids.add(fid)
             counts = edge_sizes[e]
             counts[size] = counts.get(size, 0) + 1
             if size > largest[e]:
@@ -330,8 +347,11 @@ class FlowNetwork:
                 self.bus.publish(
                     LinkOccupancy(now, e, len(edge_flows[eid]))
                 )
-        self._allocator.note_edges_dirty(eids)
-        self._mark_dirty()
+        if lone and self._allocator.scoped:
+            self._start_lone(flow, now)
+        else:
+            self._allocator.note_edges_dirty(eids)
+            self._mark_dirty()
         return flow
 
     @property
@@ -396,12 +416,40 @@ class FlowNetwork:
             for e in flow.edges:
                 edge_bytes[e] = edge_bytes.get(e, 0.0) + moved
 
+    def _start_lone(self, flow: Flow, now: float) -> None:
+        """Rate a flow that started on idle edges, without a settle.
+
+        No other flow crosses its path, so a settle would find it alone
+        in its closure and give it :meth:`IncrementalAllocator.lone_rate`.
+        It gets that rate now and its deadline joins the end-of-batch
+        push, so the completion timer is armed at the same moment as
+        after a settle.  A later same-instant start on one of its edges
+        dirties that edge, and the settle's closure re-rates both.
+        """
+        rate = self._allocator.lone_rate(flow, now)
+        flow.rate = rate
+        if self.max_edge_multiplexing < 1:
+            self.max_edge_multiplexing = 1
+        if rate > 0.0:
+            flow.gen += 1
+            flow.drate = rate
+            self._lone_pushes.append(
+                (now + flow.remaining / rate, flow.fid, flow.gen)
+            )
+        self._defer_settle()
+
     def _mark_dirty(self) -> None:
         if not self._dirty:
             self._dirty = True
-            self.engine.defer(self._settle)
+            self._defer_settle()
             if self._m_flowset is not None:
                 self._m_flowset.value += 1
+
+    def _defer_settle(self) -> None:
+        """Run :meth:`_settle` once at the end of this instant's batch."""
+        if not self._settle_deferred:
+            self._settle_deferred = True
+            self.engine.defer(self._settle)
 
     def _boundary_resolve(self) -> None:
         """Fault boundary: capacities changed globally — re-solve all."""
@@ -412,7 +460,7 @@ class FlowNetwork:
     def _advance_flow(flow: Flow, now: float) -> None:
         """Drain the bytes *flow* moved since its last catch-up.
 
-        :meth:`_settle` inlines the same subtraction chain; the two
+        :meth:`_solve_dirty` inlines the same subtraction chain; the two
         must stay identical, since ``remaining`` feeds the deadlines.
         """
         dt = now - flow.updated
@@ -426,16 +474,31 @@ class FlowNetwork:
         flow.updated = now
 
     def _settle(self) -> None:
-        """Recompute rates for every flow a change could have touched.
+        """Recompute rates for every flow a change could have touched,
+        then push this instant's deadlines and arm the timer.
 
         Runs at the end of the engine's same-timestamp batch (see
         :meth:`Engine.defer`), so any number of same-instant flow-set
         changes produce one solve.  Completion callbacks may start new
         flows at the same instant; the loop folds them into the scope
-        until the instant is quiescent, then solves once.
+        until the instant is quiescent, then solves once.  Lone-flow
+        starts were rated already: only their deadlines are pushed.
         """
-        if not self._dirty:
-            return
+        self._settle_deferred = False
+        pushes: List[Tuple[float, int, int]] = []
+        if self._dirty:
+            self._solve_dirty(pushes)
+        if self._m_inflight is not None:
+            self._m_inflight.value = len(self._flows)
+        if self._lone_pushes:
+            pushes.extend(self._lone_pushes)
+            self._lone_pushes = []
+        self._push_deadlines(pushes)
+        self._arm_timer()
+
+    def _solve_dirty(self, pushes: List[Tuple[float, int, int]]) -> None:
+        """Re-rate the closure of the dirty edges; collect the new
+        deadlines in *pushes*."""
         now = self.engine.now
         alloc = self._allocator
         full_before = alloc.full_solves
@@ -467,10 +530,7 @@ class FlowNetwork:
                 for flow in due:
                     scope.pop(flow.fid, None)
                     self._complete_flow(flow)
-        if self._m_inflight is not None:
-            self._m_inflight.value = len(self._flows)
         if not scope:
-            self._push_deadlines([])
             return
         touched, iterations, saturated = alloc.solve(scope, now)
         if self._m_waterfill is not None:
@@ -481,7 +541,6 @@ class FlowNetwork:
             full_delta = alloc.full_solves - full_before
             if full_delta:
                 self._m_full.value += full_delta
-        pushes: List[Tuple[float, int, int]] = []
         for flow in scope.values():
             rate = flow.rate
             if rate == flow.drate:
@@ -494,8 +553,6 @@ class FlowNetwork:
                 pushes.append((now + flow.remaining / rate, flow.fid, flow.gen))
             # rate == 0: frozen behind a failed link; a fault boundary
             # (recovery) or the stall watchdog wakes us.
-        self._push_deadlines(pushes)
-        self._arm_timer()
 
     def _push_deadlines(self, pushes: List[Tuple[float, int, int]]) -> None:
         """Add *pushes* to the deadline heap, keeping it within twice

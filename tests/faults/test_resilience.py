@@ -117,6 +117,36 @@ def test_pre_run_fallback_via_assessment(topo):
     assert not res.repaired
 
 
+@pytest.mark.parametrize("algorithm", ["generated", "lam"])
+def test_completed_run_costs_no_fallback(topo, monkeypatch, algorithm):
+    """The fallback is chosen on first use, and a run that completes
+    never uses one: costing pairwise against ring, which builds a
+    PathDamage, is skipped."""
+    from repro.faults import runtime
+
+    built = []
+
+    class Counting(runtime.PathDamage):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "PathDamage", Counting)
+    degraded = FaultPlan(
+        name="trunk-degraded", seed=0,
+        link_faults=[LinkFault(link=TRUNK, factor=0.5)],
+    )
+    res = run_resilient(
+        topo, algorithm, MSIZE, NetworkParams(seed=3), faults=degraded
+    )
+    assert res.completed and not res.fell_back
+    assert res.decisions == []
+    assert built == []
+    # The chooser itself still costs the degraded plan when asked.
+    runtime.choose_fallback(topo, degraded)
+    assert len(built) == 1
+
+
 def test_partition_is_reported_unrecoverable(topo):
     res = run_resilient(
         topo, "generated", MSIZE, NetworkParams(seed=3),

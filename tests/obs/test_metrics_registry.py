@@ -2,7 +2,8 @@
 
 Covers the conservation contracts the acceptance criteria name (the
 registry's ``engine.events_total`` equals the engine's own event count;
-``network.resolves_total`` never undercounts flow-set changes), the
+``network.resolves_total`` never undercounts flow-set changes, and a
+flow that starts alone is rated without one), the
 schema-versioned snapshot round-trip, Prometheus text exposition, and —
 the whole point of the design — that the *disabled* path allocates
 nothing from the metrics module inside the event loop.
@@ -37,6 +38,7 @@ from repro.obs.metrics_registry import (
 )
 from repro.sim.engine import Engine
 from repro.sim.executor import run_programs
+from repro.sim.network import FlowNetwork
 from repro.topology.builder import paper_example_cluster, star_of_switches
 
 
@@ -224,8 +226,16 @@ _TOPOLOGIES = {
 @pytest.mark.parametrize("algo_name", ["lam", "generated"])
 class TestConservation:
     def test_counters_match_engine_and_network(
-        self, topo_name, algo_name, quiet_params
+        self, topo_name, algo_name, quiet_params, monkeypatch
     ):
+        lone_starts = []
+        start_lone = FlowNetwork._start_lone
+
+        def counting(net, flow, now):
+            lone_starts.append(flow.fid)
+            start_lone(net, flow, now)
+
+        monkeypatch.setattr(FlowNetwork, "_start_lone", counting)
         topo = _TOPOLOGIES[topo_name]()
         algorithm = get_algorithm(algo_name)
         registry = MetricsRegistry()
@@ -235,14 +245,22 @@ class TestConservation:
         # The counter increments alongside the engine's own count, so
         # the two must agree exactly.
         assert registry.get("engine.events_total") == result.events_processed
-        # Every flow-set change dirties the network, and every dirty
-        # settle re-solves; completion timers re-settle without a
-        # flow-set change, so resolves can only exceed changes.
+        # A flow that starts on idle edges is rated at once and dirties
+        # nothing; every other flow-set change dirties the network, and
+        # every dirty settle re-solves, so resolves can only exceed
+        # changes.
         resolves = registry.get("network.resolves_total")
         changes = registry.get("network.flow_set_changes")
         assert resolves is not None and changes is not None
-        assert changes > 0
+        assert changes + len(lone_starts) > 0
         assert resolves >= changes
+        if algo_name == "lam":
+            assert changes > 0
+        else:
+            # Contention-free: every flow starts and finishes alone, so
+            # nothing ever dirties the network.
+            assert result.max_edge_multiplexing == 1
+            assert lone_starts and changes == 0 and resolves == 0
         if algo_name == "generated":
             # Pairwise syncs all retire in a fault-free run.
             assert registry.get("mpi.syncs_posted") == registry.get(

@@ -7,6 +7,11 @@ share edges — and nothing else; after a fault boundary
 scope would leave stale rates behind; a larger one re-solves flows no
 change could reach.
 
+A flow that starts on idle edges is rated at once (a lone-flow start)
+and dirties nothing, so every started flow is either rated at its
+start or lands in the next scope.  The model dirties a start's path
+only when another active flow already crossed one of its edges.
+
 Hypothesis drives random flow starts, completions and fault boundaries
 against a :class:`FlowNetwork` whose engine never runs, so the test
 alone decides when a scope is collected.  The expected scope comes from
@@ -90,8 +95,13 @@ def test_collect_scope_is_exactly_the_closure(seed, ops):
         if kind == "start":
             for _ in range(count):
                 src, dst = rng.sample(machines, 2)
+                path = set(net.oracle.path_edges(src, dst))
+                busy = any(path.intersection(f.edges) for f in net._flows.values())
                 flow = net.start_flow(src, dst, 4096.0, lambda f: None)
-                dirty.update(flow.edges)
+                # Rated at its start exactly when it started alone.
+                assert (flow.rate > 0.0) is not busy
+                if busy:
+                    dirty.update(flow.edges)
         elif kind == "finish":
             active = sorted(net._flows)
             for fid in rng.sample(active, min(count, len(active))):

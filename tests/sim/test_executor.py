@@ -89,6 +89,18 @@ class TestFailureDetection:
         with pytest.raises(SimulationError, match="deadlock"):
             run_programs(topo, programs, 1 << 20, quiet_params, check_delivery=False)
 
+    def test_sync_never_received_fails_the_drain_check(self, topo, quiet_params):
+        programs = {m: Program(m, []) for m in topo.machines}
+        programs["n0"] = Program("n0", [Op(OpKind.SYNC_SEND, peer="n1", tag=3)])
+        with pytest.raises(SimulationError, match="unmatched"):
+            run_programs(topo, programs, kib(64), quiet_params, check_delivery=False)
+
+    def test_sync_wait_never_satisfied_is_a_deadlock(self, topo, quiet_params):
+        programs = {m: Program(m, []) for m in topo.machines}
+        programs["n1"] = Program("n1", [Op(OpKind.SYNC_RECV, peer="n0", tag=3)])
+        with pytest.raises(SimulationError, match="deadlock"):
+            run_programs(topo, programs, kib(64), quiet_params, check_delivery=False)
+
     def test_missing_program_rejected(self, topo, quiet_params):
         programs = lam_programs(topo, kib(64))
         del programs["n2"]
@@ -121,6 +133,70 @@ class TestFailureDetection:
         ])
         with pytest.raises(SimulationError, match="delivery mismatch"):
             run_programs(topo, programs, kib(64), quiet_params)
+
+
+class TestFaultFreeSyncs:
+    def test_syncs_on_one_pair_are_delivered_fifo(self, topo, quiet_params):
+        """n1 waits on n0's two same-tag syncs only after both were
+        posted, and still takes them in posting order."""
+        programs = {m: Program(m, []) for m in topo.machines}
+        programs["n0"] = Program("n0", [
+            Op(OpKind.SYNC_SEND, peer="n1", tag=4),
+            Op(OpKind.SYNC_SEND, peer="n1", tag=4),
+        ])
+        # Three posting overheads keep n1 busy past n0's second sync.
+        programs["n1"] = Program("n1", [
+            Op(OpKind.SYNC_SEND, peer="n2", tag=5),
+            Op(OpKind.SYNC_SEND, peer="n2", tag=6),
+            Op(OpKind.SYNC_SEND, peer="n2", tag=7),
+            Op(OpKind.SYNC_RECV, peer="n0", tag=4),
+            Op(OpKind.SYNC_RECV, peer="n0", tag=4),
+        ])
+        programs["n2"] = Program("n2", [
+            Op(OpKind.SYNC_RECV, peer="n1", tag=tag) for tag in (5, 6, 7)
+        ])
+        result = run_programs(
+            topo, programs, kib(64), quiet_params, check_delivery=False,
+            trace=True,
+        )
+        records = result.trace.records
+        sends = [r.time for r in records if r.what == "sync_send" and r.rank == "n0"]
+        waits = [r.time for r in records if r.what == "sync_wait" and r.rank == "n1"]
+        recvs = [r.time for r in records if r.what == "sync_recv" and r.rank == "n1"]
+        assert len(sends) == 2 and sends[1] < waits[0]
+        assert recvs == [
+            pytest.approx(t + quiet_params.sync_latency) for t in sends
+        ]
+
+    def test_every_posted_sync_retires(self, small_star):
+        from repro.obs.metrics_registry import MetricsRegistry
+
+        programs = get_algorithm("generated").build_programs(small_star, kib(64))
+        syncs = sum(
+            op.kind is OpKind.SYNC_SEND
+            for program in programs.values()
+            for op in program.ops
+        )
+        registry = MetricsRegistry()
+        with registry.activate():
+            run_programs(small_star, programs, kib(64), NetworkParams(seed=0))
+        assert syncs > 0
+        assert registry.get("mpi.syncs_posted") == syncs
+        assert registry.get("mpi.syncs_retired") == syncs
+
+    def test_counting_syncs_changes_no_event(self, small_star):
+        """With a registry, a sync whose arrival is known is still
+        delivered through one event, so both runs see the same events."""
+        from repro.obs.metrics_registry import MetricsRegistry
+
+        programs = get_algorithm("generated").build_programs(small_star, kib(64))
+        params = NetworkParams(seed=0)
+        plain = run_programs(small_star, programs, kib(64), params)
+        with MetricsRegistry().activate():
+            counted = run_programs(small_star, programs, kib(64), params)
+        assert counted.completion_time == plain.completion_time
+        assert counted.events_processed == plain.events_processed
+        assert counted.rank_finish == plain.rank_finish
 
 
 class TestLinkUtilization:

@@ -86,6 +86,74 @@ class TestSyncMessages:
             mpi.assert_drained()
 
 
+class TestFaultFreeSyncs:
+    """Without a fault injector a sync is its arrival time, not a Request."""
+
+    def test_posted_sync_is_a_delay_until_arrival(self):
+        engine, mpi, params = make_mpi()
+        mpi.sync_send("n0", "n1", 5)
+        got = {}
+        engine.schedule(
+            50e-6, lambda: got.__setitem__("wait", mpi.sync_recv("n1", "n0", 5))
+        )
+        engine.run()
+        assert got["wait"] == pytest.approx(params.sync_latency - 50e-6)
+        assert mpi._unmatched_sends == {} and mpi._unmatched_recvs == {}
+        mpi.assert_drained()
+
+    def test_parked_receiver_wakes_at_arrival(self):
+        engine, mpi, params = make_mpi()
+        event = mpi.sync_recv("n1", "n0", 5)
+        times = {}
+        event.on_trigger(lambda _: times.__setitem__("t", engine.now))
+        engine.schedule(1e-3, lambda: mpi.sync_send("n0", "n1", 5))
+        engine.run()
+        assert times["t"] == pytest.approx(1e-3 + params.sync_latency)
+        mpi.assert_drained()
+
+    def test_syncs_on_one_key_are_delivered_fifo(self):
+        engine, mpi, params = make_mpi()
+        # Two posted syncs: the first receive takes the earlier arrival.
+        mpi.sync_send("n0", "n1", 7)
+        engine.schedule(100e-6, lambda: mpi.sync_send("n0", "n1", 7))
+        waits = []
+        engine.schedule(
+            150e-6,
+            lambda: waits.extend(
+                [mpi.sync_recv("n1", "n0", 7), mpi.sync_recv("n1", "n0", 7)]
+            ),
+        )
+        engine.run()
+        assert waits == [
+            pytest.approx(params.sync_latency - 150e-6),
+            pytest.approx(params.sync_latency - 50e-6),
+        ]
+        # Two parked receivers: the first one posted wakes first.
+        first = mpi.sync_recv("n1", "n0", 8)
+        second = mpi.sync_recv("n1", "n0", 8)
+        mpi.sync_send("n0", "n1", 8)
+        engine.run()
+        assert first.triggered and not second.triggered
+        mpi.sync_send("n0", "n1", 8)
+        engine.run()
+        assert second.triggered
+        mpi.assert_drained()
+
+    def test_sync_sent_and_never_received_is_unmatched(self):
+        engine, mpi, _ = make_mpi()
+        mpi.sync_send("n0", "n1", 5)
+        engine.run()
+        with pytest.raises(SimulationError, match="unmatched"):
+            mpi.assert_drained()
+
+    def test_sync_keys_are_directed_and_tagged(self):
+        engine, mpi, _ = make_mpi()
+        mpi.sync_send("n0", "n1", 5)
+        assert not isinstance(mpi.sync_recv("n0", "n1", 5), float)
+        assert not isinstance(mpi.sync_recv("n1", "n0", 6), float)
+        assert isinstance(mpi.sync_recv("n1", "n0", 5), float)
+
+
 class TestBuffered:
     def test_sender_completes_at_post_but_flow_drains(self):
         engine, mpi, params = make_mpi()

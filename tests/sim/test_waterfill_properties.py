@@ -18,10 +18,15 @@ instant:
 * **Maintained state**: the network's per-edge flow sets and largest
   in-flight sizes equal a brute-force recount from the active flows'
   paths, and the deadline heap holds at most twice the active flows.
+* **Every flow is rated**: each started flow is either rated at its
+  start, alone on idle edges (a lone-flow start, incremental allocator
+  only), or re-solved by a settle.
 * **Counter identity**: with a metrics registry active,
   ``network.resolves_total >= network.flow_set_changes`` — the settle
-  loop consumes at least one re-solve per dirty transition — and both
-  stay positive for any scenario that moved bytes.
+  loop consumes at least one re-solve per dirty transition — and the
+  network saw a flow-set change exactly when some flow did not start
+  alone (a flow that only ever ran alone starts and finishes without
+  dirtying anything).
 
 The ``*_numpy_filler`` variants rerun the incremental allocator with
 the filler crossover at zero edges, so every multi-flow component
@@ -162,10 +167,30 @@ def _numpy_filler():
         yield
 
 
+def _record_rating(net):
+    """Record which flows start alone and which a settle re-solves."""
+    lone, solved = set(), set()
+    start_lone = net._start_lone
+    solve = net._allocator.solve
+
+    def recording_start_lone(flow, now):
+        lone.add(flow.fid)
+        start_lone(flow, now)
+
+    def recording_solve(scope, now):
+        solved.update(scope)
+        return solve(scope, now)
+
+    net._start_lone = recording_start_lone
+    net._allocator.solve = recording_solve
+    return lone, solved
+
+
 def _check_waterfill_invariants(seed, allocator):
     registry = MetricsRegistry()
     with registry.activate():
         engine, net, specs, done = _build_scenario(seed, allocator)
+        lone, solved = _record_rating(net)
         # Pause mid-run at a seeded instant: invariants must hold on the
         # in-flight rate vector, not just at quiescence.
         pause = random.Random(seed ^ 0xA5A5).uniform(1e-4, 5e-2)
@@ -197,12 +222,19 @@ def _check_waterfill_invariants(seed, allocator):
     for e, nbytes in net.edge_bytes.items():
         assert nbytes == pytest.approx(expected_edge[e], rel=1e-6)
 
+    # Every started flow was rated: alone at its start, or by a settle.
+    started = set(range(len(specs)))
+    assert lone | solved == started
+    if allocator == "reference":
+        assert lone == set()
+
     # Counter identity: one dirty transition never consumes more than
-    # one re-solve, so resolves >= flow-set changes; both are positive.
+    # one re-solve, so resolves >= flow-set changes.  Only a flow that
+    # met another dirties the network.
     resolves = registry.get("network.resolves_total")
     changes = registry.get("network.flow_set_changes")
     assert resolves is not None and changes is not None
-    assert changes > 0
+    assert (changes > 0) == (lone != started)
     assert resolves >= changes
 
 
