@@ -25,6 +25,7 @@ from typing import Dict, List
 
 from repro.algorithms.base import AlltoallAlgorithm
 from repro.core.program import Block, Op, OpKind, Program, validate_programs
+from repro.sim.engine import gc_paused
 from repro.topology.graph import Topology
 
 
@@ -33,6 +34,7 @@ class BruckAlltoall(AlltoallAlgorithm):
 
     name = "bruck"
 
+    @gc_paused()
     def build_programs(self, topology: Topology, msize: int) -> Dict[str, Program]:
         machines = topology.machines
         n = len(machines)

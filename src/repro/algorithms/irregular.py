@@ -32,6 +32,7 @@ from repro.core.program import (
     Block, Op, OpKind, Program, build_programs, validate_programs,
 )
 from repro.core.synchronization import build_sync_plan
+from repro.sim.engine import gc_paused
 from repro.topology.graph import Topology
 
 
@@ -51,6 +52,7 @@ class PostAllAlltoallv:
 
     name = "postall-alltoallv"
 
+    @gc_paused()
     def build_programs(
         self, topology: Topology, sizes: SizeMap
     ) -> Dict[str, Program]:
@@ -83,6 +85,7 @@ class ScheduledAlltoallv:
         self.balance = balance
         self.sync = sync
 
+    @gc_paused()
     def build_programs(
         self, topology: Topology, sizes: SizeMap
     ) -> Dict[str, Program]:

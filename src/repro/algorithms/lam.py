@@ -14,6 +14,7 @@ from typing import Dict
 
 from repro.algorithms.base import AlltoallAlgorithm, post_all_programs
 from repro.core.program import Program
+from repro.sim.engine import gc_paused
 from repro.topology.graph import Topology
 
 
@@ -22,6 +23,7 @@ class LamAlltoall(AlltoallAlgorithm):
 
     name = "lam"
 
+    @gc_paused()
     def build_programs(self, topology: Topology, msize: int) -> Dict[str, Program]:
         order = lambda i, n: range(n)  # noqa: E731 - tiny order functions
         return post_all_programs(topology, send_order=order, recv_order=order)

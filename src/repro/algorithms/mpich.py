@@ -31,6 +31,7 @@ from repro.algorithms.base import (
 from repro.algorithms.bruck import BruckAlltoall
 from repro.core.program import Program
 from repro.errors import SchedulingError
+from repro.sim.engine import gc_paused
 from repro.topology.graph import Topology
 
 #: MPICH's small/medium crossover (bytes).
@@ -53,6 +54,7 @@ class OrderedIsendAlltoall(AlltoallAlgorithm):
 
     name = "mpich-ordered-isend"
 
+    @gc_paused()
     def build_programs(self, topology: Topology, msize: int) -> Dict[str, Program]:
         order = lambda i, n: [(i + j) % n for j in range(1, n)]  # noqa: E731
         return post_all_programs(topology, send_order=order, recv_order=order)
@@ -67,6 +69,7 @@ class PairwiseAlltoall(AlltoallAlgorithm):
 
     name = "mpich-pairwise"
 
+    @gc_paused()
     def build_programs(self, topology: Topology, msize: int) -> Dict[str, Program]:
         n = topology.num_machines
         if not is_power_of_two(n):
@@ -90,6 +93,7 @@ class RingAlltoall(AlltoallAlgorithm):
 
     name = "mpich-ring"
 
+    @gc_paused()
     def build_programs(self, topology: Topology, msize: int) -> Dict[str, Program]:
         n = topology.num_machines
 

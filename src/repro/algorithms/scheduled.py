@@ -17,33 +17,15 @@ into the same harness as the baselines.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.algorithms.base import AlltoallAlgorithm
 from repro.core.program import Program, build_programs
 from repro.core.schedule import PhasedSchedule
 from repro.core.scheduler import schedule_aapc
 from repro.core.synchronization import SyncPlan, build_sync_plan
+from repro.sim.engine import gc_paused
 from repro.topology.graph import Topology
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic collector, restoring its previous state on exit.
-
-    The generator allocates about a million young objects at 256 ranks
-    and none of them form reference cycles, so reference counting frees
-    all of it and the collector's passes over them are pure overhead.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 class GeneratedAlltoall(AlltoallAlgorithm):
@@ -73,17 +55,17 @@ class GeneratedAlltoall(AlltoallAlgorithm):
         """The verified phased schedule alone (message size independent)."""
         return schedule_aapc(topology, root=self.root)
 
+    @gc_paused()
     def build_programs(self, topology: Topology, msize: int) -> Dict[str, Program]:
-        with _gc_paused():
-            schedule = self.build_schedule(topology)
-            plan: Optional[SyncPlan] = None
-            if self.sync_mode == "pairwise":
-                plan = build_sync_plan(
-                    schedule, remove_redundant=self.remove_redundant_syncs
-                )
-            self.last_schedule = schedule
-            self.last_sync_plan = plan
-            return build_programs(schedule, plan, sync_mode=self.sync_mode)
+        schedule = self.build_schedule(topology)
+        plan: Optional[SyncPlan] = None
+        if self.sync_mode == "pairwise":
+            plan = build_sync_plan(
+                schedule, remove_redundant=self.remove_redundant_syncs
+            )
+        self.last_schedule = schedule
+        self.last_sync_plan = plan
+        return build_programs(schedule, plan, sync_mode=self.sync_mode)
 
     def describe(self, topology: Topology, msize: int) -> str:
         return f"{self.name}(root={self.root or 'auto'})"

@@ -3,8 +3,9 @@
 A run that loses a synchronization message (or a whole link) does not
 crash — it silently stops making progress while simulated time keeps
 ticking.  The :class:`StallWatchdog` runs as a recurring engine event:
-whenever no rank has completed an operation for ``stall_timeout``
-simulated seconds it builds a :class:`StallDiagnosis` — which ranks are
+whenever nothing has progressed for ``stall_timeout`` simulated seconds
+— no rank completed an operation, no flow finished, and no in-flight
+flow moves bytes — it builds a :class:`StallDiagnosis` — which ranks are
 blocked on what (phase, operation, peer), which pair-wise sync edges are
 pending or abandoned, and which declared faults plausibly caused it —
 and aborts the run with :class:`~repro.errors.StallError` carrying that
@@ -188,7 +189,7 @@ class StallDiagnosis:
 class WatchdogConfig:
     """When to declare a stall, in simulated seconds."""
 
-    #: No completed operation for this long = stalled.
+    #: No progress for this long = stalled.
     stall_timeout: float = 0.25
     #: How often the watchdog wakes up to check.
     check_interval: float = 0.05
@@ -202,10 +203,12 @@ class StallWatchdog:
     """Recurring engine event that aborts no-progress runs with a diagnosis.
 
     *progress* is a callable returning a monotonically increasing count
-    of completed operations; *diagnose* builds the
-    :class:`StallDiagnosis` at abort time; *all_done* reports whether the
-    run finished (the watchdog then stops rescheduling itself so the
-    event heap can drain).
+    of completed work (operations and finished flows); *moving* reports
+    whether work that has not completed yet is under way (an in-flight
+    flow with a positive rate), which also counts as progress;
+    *diagnose* builds the :class:`StallDiagnosis` at abort
+    time; *all_done* reports whether the run finished (the watchdog then
+    stops rescheduling itself so the event heap can drain).
     """
 
     def __init__(
@@ -214,12 +217,14 @@ class StallWatchdog:
         config: WatchdogConfig,
         *,
         progress: Callable[[], int],
+        moving: Callable[[], bool],
         diagnose: Callable[[float], StallDiagnosis],
         all_done: Callable[[], bool],
     ) -> None:
         self.engine = engine
         self.config = config
         self._progress = progress
+        self._moving = moving
         self._diagnose = diagnose
         self._all_done = all_done
         self._last_count = progress()
@@ -240,7 +245,7 @@ class StallWatchdog:
             return
         now = self.engine.now
         count = self._progress()
-        if count != self._last_count:
+        if count != self._last_count or self._moving():
             self._last_count = count
             self._last_change = now
         elif now - self._last_change >= self.config.stall_timeout:

@@ -22,12 +22,14 @@ the active flow set (see :mod:`repro.sim.network` for the model):
   network calls the same method when a flow starts on idle edges, so
   a contention-free schedule's flows never reach a solve; a component of
   at most ``_VECTORIZE_EDGES`` edges runs the reference filler
-  restricted to it; a wider one runs a numpy-vectorized waterfill.
+  restricted to it; a wider one runs a numpy-vectorized waterfill on
+  one flat gather of the scope's paths.
 
 Both work on the network's integer edge ids (see
 :mod:`repro.sim.network`): dirty sets, closures and component edge
-lists are ids, and per-edge state is read from id-indexed lists.  The
-incremental solvers read each edge's largest in-flight size from the
+lists are ids, and per-edge state is read from id-indexed lists (the
+numpy waterfill keeps the fixed per-edge state in id-indexed arrays).
+The incremental solvers read each edge's largest in-flight size from the
 network's maintained value; the reference recomputes it by brute force
 at every solve, so it stays an independent oracle.
 
@@ -43,7 +45,11 @@ differential suite's 1e-9 tolerance.  Pick one via
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING, Collection, Dict, Iterable, List, Set, Tuple,
+)
 
 import numpy as np
 
@@ -55,27 +61,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The one crossover between the two fillers: components spanning more
 #: edges than this run the numpy waterfill, the rest the python filler.
 #: The python filler scans every unfrozen edge once per share level,
-#: O(edges^2) per solve; numpy pays a fixed C-level setup plus a few
-#: array ops per level.  Timed on the same components, python wins on
-#: the small ones (up to ~80 edges in the contention-heavy bench cells)
-#: and numpy on bruck's 161-1472-edge ones at 1024 ranks.
+#: O(edges^2) per solve; numpy pays a flat gather of the scope's paths
+#: plus a few array ops per level.  The two sum the frozen shares in
+#: different orders, so moving the crossover moves pinned completion
+#: times: it stays where it was measured before the gather cut the
+#: numpy side's fixed cost (python won on the small components, up to
+#: ~80 edges in the contention-heavy bench cells, numpy on bruck's
+#: 161-1472-edge ones at 1024 ranks).
 _VECTORIZE_EDGES = 160
 
-
-def _ragged_gather(
-    ptr: "np.ndarray", idx: "np.ndarray", rows: "np.ndarray"
-) -> "np.ndarray":
-    """Concatenate CSR rows ``idx[ptr[r]:ptr[r+1]]`` for ``r`` in *rows*."""
-    starts = ptr[rows]
-    lens = ptr[rows + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=idx.dtype)
-    offs = np.repeat(starts, lens)
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    return idx[offs + ramp]
+_EIDS = attrgetter("eids")
 
 
 class BaseAllocator:
@@ -213,6 +208,9 @@ class IncrementalAllocator(BaseAllocator):
         # so no per-solve allocation scales with the network's size.
         self._unfrozen: List[int] = []
         self._available: List[float] = []
+        # Numpy-filler copies of the fixed per-edge state, by edge id.
+        self._endpoint_arr = np.empty(0, dtype=bool)
+        self._line_bw_arr = np.empty(0, dtype=np.float64)
 
     # -- dirty tracking ------------------------------------------------
     def note_edges_dirty(self, eids: Iterable[int]) -> None:
@@ -266,22 +264,19 @@ class IncrementalAllocator(BaseAllocator):
         if len(scope) == 1:
             return self._solve_single(next(iter(scope.values())), now)
         net = self.net
-        edge_flows = net._edge_flows
-        # Component edge ids in ascending order: ids are first-seen
-        # ranks, so this is the reference scan order restricted to the
-        # component, and near-tie breaks agree.
+        comp_edges: Collection[int]
         if len(scope) == len(net._flows):
             # Full-scope solve (dense regime): the component is every
             # populated edge.
-            comp_edges = [e for e, fids in enumerate(edge_flows) if fids]
+            comp_edges = [e for e, fids in enumerate(net._edge_flows) if fids]
         else:
-            edge_set: Set[int] = set()
-            for flow in scope.values():
-                edge_set.update(flow.eids)
-            comp_edges = sorted(edge_set)
-        if len(comp_edges) <= _VECTORIZE_EDGES:
-            return self._solve_python(scope, comp_edges, now)
-        return self._solve_numpy(scope, comp_edges, now)
+            comp_edges = set(chain.from_iterable(map(_EIDS, scope.values())))
+        if len(comp_edges) > _VECTORIZE_EDGES:
+            return self._solve_numpy(scope, now)
+        # Component edge ids in ascending order: ids are first-seen
+        # ranks, so this is the reference scan order restricted to the
+        # component, and near-tie breaks agree.
+        return self._solve_python(scope, sorted(comp_edges), now)
 
     # -- fast paths ----------------------------------------------------
     def lone_rate(self, flow: "Flow", now: float) -> float:
@@ -398,61 +393,69 @@ class IncrementalAllocator(BaseAllocator):
         return touched, iterations, iterations
 
     # -- vectorized waterfill ------------------------------------------
+    def _edge_constants(self) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Every edge's endpoint flag and line bandwidth, by edge id.
+
+        Both are fixed when the network registers an edge, so the arrays
+        are rebuilt only when the edge table has grown.
+        """
+        net = self.net
+        if self._endpoint_arr.size != len(net._edge_endpoint):
+            bandwidth = net.params.bandwidth
+            self._endpoint_arr = np.array(net._edge_endpoint, dtype=bool)
+            self._line_bw_arr = np.array(
+                [bandwidth if bw is None else bw for bw in net._edge_line_bw],
+                dtype=np.float64,
+            )
+        return self._endpoint_arr, self._line_bw_arr
+
     def _solve_numpy(
-        self,
-        scope: Dict[int, "Flow"],
-        comp_edges: List[int],
-        now: float,
+        self, scope: Dict[int, "Flow"], now: float
     ) -> Tuple[int, int, int]:
         net = self.net
         params = net.params
         injector = net.injector
-        edge_flows = net._edge_flows
-        local: Dict[int, int] = {}
-        flow_list: List["Flow"] = []
-        for i, (fid, flow) in enumerate(scope.items()):
-            local[fid] = i
-            flow_list.append(flow)
+        flow_list = list(scope.values())
         nflows = len(flow_list)
 
-        # Edge -> flows incidence (CSR), skipping emptied edges.
-        get_local = local.__getitem__
-        edges: List[int] = []
-        eptr: List[int] = [0]
-        eidx: List[int] = []
-        for e in comp_edges:
-            fids = edge_flows[e]
-            if not fids:
-                continue
-            edges.append(e)
-            eidx.extend(map(get_local, fids))
-            eptr.append(len(eidx))
-        nedges = len(edges)
-        touched = len(eidx)
-        eptr_arr = np.asarray(eptr, dtype=np.int64)
-        eidx_arr = np.asarray(eidx, dtype=np.int64)
-        count_arr = np.diff(eptr_arr).astype(np.float64)
-        if count_arr.size and count_arr.max() > net.max_edge_multiplexing:
-            net.max_edge_multiplexing = int(count_arr.max())
+        # One flat gather of the scope's paths: incidence k is flow
+        # flow_of[k] crossing edge id flat[k].  A scope is closed under
+        # the flow/edge incidence, so the edges it crosses are exactly
+        # the component's and each edge's incidence count is its
+        # in-flight flow count.
+        paths = list(map(_EIDS, flow_list))
+        lens = np.fromiter(map(len, paths), dtype=np.int64, count=nflows)
+        flow_of = np.repeat(np.arange(nflows, dtype=np.int64), lens)
+        touched = int(flow_of.size)
+        flat = np.fromiter(
+            chain.from_iterable(paths), dtype=np.int64, count=touched
+        )
+        # The populated ids in ascending order are the component's
+        # edges in the reference scan order; edge_of[k] is incidence
+        # k's position among them.
+        per_edge = np.bincount(flat)
+        edges = np.flatnonzero(per_edge)
+        nedges = int(edges.size)
+        count_arr = per_edge[edges].astype(np.float64)
+        position = np.empty(per_edge.size, dtype=np.int64)
+        position[edges] = np.arange(nedges, dtype=np.int64)
+        edge_of = position[flat]
+        peak = int(per_edge.max())
+        if peak > net.max_edge_multiplexing:
+            net.max_edge_multiplexing = peak
 
         # Vectorized effective_capacity: identical elementwise IEEE ops
         # to the scalar path in NetworkParams, so results match the
         # reference bit for bit.
-        edge_largest = net._edge_largest
+        edge_list = edges.tolist()
         largest_arr = np.fromiter(
-            (edge_largest[e] for e in edges), dtype=np.float64, count=nedges
+            map(net._edge_largest.__getitem__, edge_list),
+            dtype=np.float64,
+            count=nedges,
         )
-        edge_endpoint = net._edge_endpoint
-        endpoint = np.fromiter(
-            (edge_endpoint[e] for e in edges), dtype=bool, count=nedges
-        )
-        raw = np.full(nedges, params.bandwidth, dtype=np.float64)
-        if net._edge_bandwidth:
-            line_bw = net._edge_line_bw
-            for i, e in enumerate(edges):
-                override = line_bw[e]
-                if override is not None:
-                    raw[i] = override
+        endpoint_all, line_bw_all = self._edge_constants()
+        endpoint = endpoint_all[edges]
+        raw = line_bw_all[edges]
         big_mask = largest_arr >= params.large_flow_threshold
         floor = np.where(
             endpoint,
@@ -469,18 +472,8 @@ class IncrementalAllocator(BaseAllocator):
         eta = np.where(excess > 0, floor + (1.0 - floor) / safe, 1.0)
         available = (raw * params.base_efficiency) * eta
         if injector is not None:
-            for i, e in enumerate(edges):
+            for i, e in enumerate(edge_list):
                 available[i] *= injector.link_factor(net._edges[e], now)
-
-        # Flow -> edges incidence (CSR) for the freeze subtraction.
-        get_edge_local = {e: i for i, e in enumerate(edges)}.__getitem__
-        fptr_l: List[int] = [0]
-        fidx_l: List[int] = []
-        for flow in flow_list:
-            fidx_l.extend(map(get_edge_local, flow.eids))
-            fptr_l.append(len(fidx_l))
-        fptr = np.asarray(fptr_l, dtype=np.int64)
-        fidx = np.asarray(fidx_l, dtype=np.int64)
 
         rates = np.zeros(nflows, dtype=np.float64)
         unfrozen = np.ones(nflows, dtype=bool)
@@ -509,28 +502,25 @@ class IncrementalAllocator(BaseAllocator):
             # batching them is the same fixpoint — and it collapses
             # the highly symmetric AAPC flow sets from O(edges) rounds
             # to a handful of share levels.
-            tied = np.flatnonzero(shares == s)
-            saturated += int(tied.size)
-            crossing = _ragged_gather(eptr_arr, eidx_arr, tied)
-            crossing = crossing[unfrozen[crossing]]
-            if crossing.size:
-                # Sorted distinct flows: sort plus an adjacent-difference
-                # mask, several times faster here than np.unique.
-                crossing.sort()
-                first = np.concatenate(([True], crossing[1:] != crossing[:-1]))
-                new = crossing[first]
+            tied = shares == s
+            saturated += int(np.count_nonzero(tied))
+            # The unfrozen flows crossing a tied edge freeze at s.
+            new = np.zeros(nflows, dtype=bool)
+            new[flow_of[tied[edge_of]]] = True
+            new &= unfrozen
+            count = int(np.count_nonzero(new))
+            if count:
                 rates[new] = s
                 unfrozen[new] = False
-                nfrozen += int(new.size)
+                nfrozen += count
                 # One subtraction per (flow, edge) incidence of the
                 # newly frozen flows, all at the same share s.
-                hit = _ragged_gather(fptr, fidx, new)
-                delta = np.bincount(hit, minlength=nedges)
+                delta = np.bincount(edge_of[new[flow_of]], minlength=nedges)
                 available -= delta * s
                 count_arr -= delta
             count_arr[tied] = 0.0
-        for j, flow in enumerate(flow_list):
-            flow.rate = float(rates[j])
+        for flow, rate in zip(flow_list, rates.tolist()):
+            flow.rate = rate
         return touched, iterations, saturated
 
 

@@ -23,11 +23,32 @@ about networks.
 
 from __future__ import annotations
 
+import gc
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Generator, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.metrics_registry import active_registry
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector, restoring its previous state on exit.
+
+    A program build or a run allocates up to millions of young objects
+    (the generator's schedule and sync plan, Bruck's block tuples, every
+    ``Op``, event, flow and request) and none of them form reference
+    cycles, so reference counting frees all of it and the collector's
+    passes over them are pure overhead.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class SimEvent:

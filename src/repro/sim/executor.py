@@ -14,15 +14,21 @@ kept only when a fault injector (its watchdog and crashes) can read
 it.
 
 Data correctness: every data receive records the logical AAPC blocks it
-carried; at the end each rank must have received every block addressed
+carried that are addressed to its rank, as a set plus a count of
+arrivals; at the end each rank must have received every block addressed
 to it exactly once (forwarding algorithms like Bruck may also carry
-blocks in transit — those are ignored by the check).
+blocks in transit — those are not kept).
+
+A run allocates no reference cycles, so the engine runs with the cyclic
+collector paused.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProgramError, SimulationError, StallError
@@ -32,7 +38,7 @@ from repro.obs.link_metrics import LinkMetricsCollector
 from repro.obs.metrics_registry import active_registry
 from repro.obs.monitor import MonitorConfig, RunMonitor
 from repro.obs.telemetry import EngineStats, RunTelemetry
-from repro.sim.engine import Engine, SimEvent
+from repro.sim.engine import Engine, SimEvent, gc_paused
 from repro.sim.mpi import Request, SimMPI
 from repro.sim.network import FlowNetwork
 from repro.sim.params import NetworkParams
@@ -41,6 +47,9 @@ from repro.topology.graph import Topology
 
 if False:  # typing only — keep repro.sim import-light when faults are unused
     from repro.faults.plan import FaultPlan
+
+#: A block is (origin, destination).
+_DESTINATION = itemgetter(1)
 
 
 @dataclass
@@ -210,8 +219,11 @@ def run_programs(
         _publish(TraceRecord(engine.now, rank, what, peer, tag, phase))
 
     rank_finish: Dict[str, float] = {}
+    # The delivery ledger: per rank, the blocks addressed to it that
+    # arrived, and how many arrivals there were (a duplicate shows as a
+    # count above the set's size).  Blocks in transit are not kept.
     received: Dict[str, Set[Block]] = {m: set() for m in machines}
-    received_lists: Dict[str, List[Block]] = {m: [] for m in machines}
+    arrivals: Dict[str, int] = dict.fromkeys(machines, 0)
 
     # Pre-draw each rank's noise stream and persistent speed factor so
     # spawn order cannot change the random sequence a rank observes
@@ -235,7 +247,8 @@ def run_programs(
         return base
 
     # Progress accounting for the stall watchdog: ops_completed ticks on
-    # every finished operation; rank_state remembers what each rank is
+    # every finished operation (the network counts finished flows and
+    # knows which still move); rank_state remembers what each rank is
     # currently parked on so a stall can be attributed to a phase and a
     # pending sync edge rather than just "it hung".  Only the watchdog
     # and crashes read rank_state, and only crashes fill crashed, so a
@@ -327,10 +340,13 @@ def run_programs(
         rank_finish[rank] = engine.now
 
     def _record_blocks(rank: str, req: Request) -> None:
-        for block in req.blocks:
-            received_lists[rank].append(block)
-            if block[1] == rank:
-                received[rank].add(block)
+        blocks = req.blocks
+        addressed = list(
+            compress(blocks, map(rank.__eq__, map(_DESTINATION, blocks)))
+        )
+        if addressed:
+            received[rank].update(addressed)
+            arrivals[rank] += len(addressed)
 
     def all_done() -> bool:
         return all(m in rank_finish or m in crashed for m in machines)
@@ -430,7 +446,8 @@ def run_programs(
         StallWatchdog(
             engine,
             WatchdogConfig(),
-            progress=lambda: ops_completed[0],
+            progress=lambda: ops_completed[0] + network.flows_finished,
+            moving=network.flows_moving,
             diagnose=diagnose,
             all_done=all_done,
         ).start()
@@ -473,15 +490,20 @@ def run_programs(
 
     for m in machines:
         engine.spawn(rank_process(m, programs[m]))
+    # The run allocates a young object per event, flow and request, and
+    # none of them form reference cycles (the executor tests check that
+    # a run leaves no cyclic garbage), so it runs with the collector
+    # paused.
     try:
-        engine.run()
-        # Byte accounting is lazy per flow; catch up before anything
-        # below reads the ledgers (only matters when flows are still in
-        # flight — stalls, crashes).
-        network.sync_progress()
-        if run_monitor is not None:
-            run_monitor.emit()
-            run_monitor.stop()
+        with gc_paused():
+            engine.run()
+            # Byte accounting is lazy per flow; catch up before anything
+            # below reads the ledgers (only matters when flows are still
+            # in flight — stalls, crashes).
+            network.sync_progress()
+            if run_monitor is not None:
+                run_monitor.emit()
+                run_monitor.stop()
     finally:
         network.close()
 
@@ -504,7 +526,7 @@ def run_programs(
         mpi.assert_drained()
 
     if check_delivery and not crashed:
-        _check_delivery(machines, received, received_lists, expected_blocks)
+        _check_delivery(machines, received, arrivals, expected_blocks)
 
     completion = max(rank_finish.values()) if rank_finish else 0.0
 
@@ -567,7 +589,7 @@ def run_programs(
 def _check_delivery(
     machines: Sequence[str],
     received: Dict[str, Set[Block]],
-    received_lists: Dict[str, List[Block]],
+    arrivals: Dict[str, int],
     expected_blocks: Optional[Dict[str, Set[Block]]] = None,
 ) -> None:
     for rank in machines:
@@ -583,9 +605,8 @@ def _check_delivery(
                 f"rank {rank} delivery mismatch: missing {missing}, "
                 f"unexpected {extra}"
             )
-        addressed = [b for b in received_lists[rank] if b[1] == rank]
-        if len(addressed) != len(expected):
+        if arrivals[rank] != len(expected):
             raise SimulationError(
-                f"rank {rank} received {len(addressed)} addressed blocks, "
+                f"rank {rank} received {arrivals[rank]} addressed blocks, "
                 f"expected {len(expected)} (duplicate delivery)"
             )

@@ -359,6 +359,15 @@ class FlowNetwork:
         return len(self._flows)
 
     @property
+    def flows_finished(self) -> int:
+        """Flows started so far that are no longer in flight."""
+        return self._next_fid - len(self._flows)
+
+    def flows_moving(self) -> bool:
+        """Whether some in-flight flow has a positive rate."""
+        return any(flow.rate > 0.0 for flow in self._flows.values())
+
+    @property
     def full_resolves(self) -> int:
         """Solves that covered the entire flow set (see allocator)."""
         return self._allocator.full_solves

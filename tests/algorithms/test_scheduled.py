@@ -131,6 +131,41 @@ class TestGcPause:
         assert gc.isenabled() is gc_enabled
 
     @pytest.mark.parametrize(
+        "name", ["generated", "bruck", "mpich-ordered-isend", "mpich-pairwise",
+                 "mpich-ring", "lam", "postall-alltoallv",
+                 "scheduled-alltoallv"],
+    )
+    def test_every_builder_pauses_the_collector(self, fig1, gc_enabled,
+                                                name, monkeypatch):
+        """Every ``build_programs`` that lowers a pattern itself runs
+        under ``gc_paused`` and restores the collector afterwards.  (The
+        autotuner's build measures candidates through the harness and
+        is left out; each candidate's build and run pause on their own.)"""
+        from repro.algorithms import PostAllAlltoallv, ScheduledAlltoallv
+        from repro.core.program import Program
+
+        during = []
+        init = Program.__init__
+
+        def recording_init(self, *args, **kwargs):
+            during.append(gc.isenabled())
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Program, "__init__", recording_init)
+        if name.endswith("alltoallv"):
+            machines = fig1.machines
+            sizes = {(a, b): 4096 for a in machines for b in machines if a != b}
+            builder = {"postall-alltoallv": PostAllAlltoallv,
+                       "scheduled-alltoallv": ScheduledAlltoallv}[name]()
+            builder.build_programs(fig1, sizes)
+        else:
+            # Pairwise exchange needs a power-of-two rank count.
+            topology = single_switch(4) if name == "mpich-pairwise" else fig1
+            get_algorithm(name).build_programs(topology, kib(16))
+        assert during and not any(during)
+        assert gc.isenabled() is gc_enabled
+
+    @pytest.mark.parametrize(
         "build", [topology_b, lambda: random_tree(24, 6, seed=7)],
         ids=["topology_b", "random_tree"],
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import get_algorithm
+from repro.core.program import OpKind, Program
 from repro.errors import StallError
 from repro.faults.injector import DELIVER, DROP, FaultInjector
 from repro.faults.plan import (
@@ -22,7 +23,7 @@ from repro.faults.plan import (
 )
 from repro.sim.executor import run_programs
 from repro.sim.params import NetworkParams
-from repro.topology.builder import chain_of_switches
+from repro.topology.builder import chain_of_switches, star_of_switches
 from repro.units import kib
 
 MSIZE = kib(4)
@@ -219,3 +220,50 @@ def test_fault_telemetry_reaches_perfetto(topo):
                for n in names)
     # metrics_dict carries the fault section for the JSON report.
     assert "faults" in telemetry.metrics_dict()
+
+
+@pytest.mark.chaos
+def test_moving_flows_are_not_a_stall():
+    """LAM posts everything and then waits once, so no operation
+    completes while its contended flows drain; that is progress, not a
+    stall.  Under a plan that only drops syncs (LAM sends none) the run
+    ends exactly when the fault-free one does."""
+    topo = star_of_switches([4] * 4)
+    programs = get_algorithm("lam").build_programs(topo, kib(64))
+    params = NetworkParams().without_noise()
+    baseline = run_programs(topo, programs, kib(64), params)
+    plan = FaultPlan(sync_faults=[SyncFault(loss=0.2)])
+    result = run_programs(topo, programs, kib(64), params, faults=plan)
+    assert baseline.completion_time > 0.3  # past the watchdog's horizon
+    assert result.completion_time == baseline.completion_time
+
+
+def test_sync_never_sent_still_stalls_with_diagnosis(topo):
+    """A sync its sender never posts blocks its receiver for good: with
+    no flow left moving the watchdog fires at its usual horizon and
+    names the missing sync."""
+    programs = scheduled_programs(topo)
+    ops = programs["n1"].ops
+    first = next(i for i, op in enumerate(ops) if op.kind is OpKind.SYNC_SEND)
+    assert (ops[first].peer, ops[first].tag) == ("n2", 1_000_000)
+    programs["n1"] = Program("n1", ops[:first] + ops[first + 1:])
+    plan = FaultPlan(name="loss", seed=7, sync_faults=[SyncFault(loss=0.2)])
+    with pytest.raises(StallError) as exc_info:
+        run(topo, programs, plan)
+    diagnosis = exc_info.value.diagnosis
+    assert diagnosis.time == 0.3
+    assert diagnosis.suspected_cause == "active fault(s): sync-fault *->* loss=0.2"
+    assert diagnosis.blocked_phases == [1, 2, 3]
+    assert [(b.rank, b.kind, b.peer, b.phase) for b in diagnosis.blocked] == [
+        ("n0", "sync_recv", "n2", 3),
+        ("n1", "waitall", "", 2),
+        ("n2", "sync_recv", "n1", 1),
+        ("n3", "waitall", "", 1),
+    ]
+    assert [(p.src, p.dst, p.phase, p.state) for p in diagnosis.pending_syncs] == [
+        ("n1", "n2", 1, "unmatched-recv"),
+        ("n2", "n0", 3, "unmatched-recv"),
+    ]
+    assert diagnosis.completed_pairs == [
+        ("n0", "n1"), ("n1", "n3"), ("n2", "n0"), ("n3", "n0"), ("n3", "n2"),
+    ]

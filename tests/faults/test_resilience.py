@@ -206,6 +206,7 @@ def test_watchdog_fires_on_synthetic_no_progress():
         engine,
         WatchdogConfig(stall_timeout=0.1, check_interval=0.05),
         progress=lambda: 0,
+        moving=lambda: False,
         diagnose=lambda now: StallDiagnosis(
             time=now, suspected_cause="synthetic"
         ),

@@ -1,5 +1,7 @@
 """Tests for the program executor: timing, correctness checks, tracing."""
 
+import gc
+
 import pytest
 
 from repro.algorithms import get_algorithm
@@ -8,6 +10,7 @@ from repro.core.scheduler import schedule_aapc
 from repro.core.synchronization import build_sync_plan
 from repro.core.program import build_programs
 from repro.errors import ProgramError, SimulationError
+from repro.faults.plan import FaultPlan, SyncFault
 from repro.obs.phase_audit import phase_windows
 from repro.sim.executor import run_programs
 from repro.sim.params import NetworkParams
@@ -134,6 +137,39 @@ class TestFailureDetection:
         with pytest.raises(SimulationError, match="delivery mismatch"):
             run_programs(topo, programs, kib(64), quiet_params)
 
+    def test_delivery_check_catches_duplicates(self, topo, quiet_params):
+        """A block addressed to a rank that arrives twice is caught even
+        though the set of delivered blocks is right."""
+        programs = lam_programs(topo, kib(64))
+        again = (("n0", "n1"),)
+        programs["n0"] = Program("n0", [
+            Op(OpKind.ISEND, peer="n1", tag=1, blocks=again),
+            *programs["n0"].ops,
+        ])
+        programs["n1"] = Program("n1", [
+            Op(OpKind.IRECV, peer="n0", tag=1, blocks=again),
+            *programs["n1"].ops,
+        ])
+        with pytest.raises(SimulationError, match="duplicate delivery") as err:
+            run_programs(topo, programs, kib(64), quiet_params)
+        assert "rank n1 received 4 addressed blocks, expected 3" in str(err.value)
+
+    def test_blocks_in_transit_are_not_delivered(self, quiet_params):
+        """Bruck forwards blocks through intermediate ranks; only the
+        blocks addressed to a rank count as delivered to it."""
+        topo = single_switch(8)
+        programs = get_algorithm("bruck").build_programs(topo, kib(4))
+        forwarded = sum(
+            len(op.blocks) for p in programs.values() for op in p.ops
+            if op.kind in (OpKind.SEND, OpKind.ISEND)
+        )
+        result = run_programs(topo, programs, kib(4), quiet_params)
+        assert forwarded > 8 * 7
+        assert result.received_blocks == {
+            m: {(src, m) for src in topo.machines if src != m}
+            for m in topo.machines
+        }
+
 
 class TestFaultFreeSyncs:
     def test_syncs_on_one_pair_are_delivered_fifo(self, topo, quiet_params):
@@ -197,6 +233,78 @@ class TestFaultFreeSyncs:
         assert counted.completion_time == plain.completion_time
         assert counted.events_processed == plain.events_processed
         assert counted.rank_finish == plain.rank_finish
+
+
+class TestNoCyclicGarbage:
+    """``run_programs`` runs the engine with the cyclic collector paused,
+    which is safe only while a run leaves nothing but reference-counted
+    garbage: whatever a run allocated is freed once its result is
+    dropped, with no cycle left for the collector."""
+
+    @pytest.fixture
+    def collector_off(self):
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        yield
+        if was_enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "algorithm, options",
+        [
+            ("generated", {}),
+            ("bruck", {}),
+            ("lam", {}),
+            ("generated", {"telemetry": True}),
+            ("generated", {"trace": True}),
+            (
+                "generated",
+                {"faults": FaultPlan(seed=7, sync_faults=[SyncFault(loss=0.1)])},
+            ),
+        ],
+        ids=["generated", "bruck", "lam", "telemetry", "trace", "faulted"],
+    )
+    def test_run_leaves_no_cycles(self, small_star, algorithm, options,
+                                  collector_off):
+        programs = get_algorithm(algorithm).build_programs(small_star, kib(64))
+        gc.collect()
+        result = run_programs(
+            small_star, programs, kib(64), NetworkParams(seed=0), **options
+        )
+        if "faults" in options:
+            assert result.fault_stats["syncs_dropped"] > 0
+        del result
+        assert gc.collect() == 0
+
+    def test_engine_runs_paused_and_state_is_restored(
+        self, topo, quiet_params, monkeypatch
+    ):
+        from repro.sim.engine import Engine
+
+        during = []
+        engine_run = Engine.run
+
+        def run(engine):
+            during.append(gc.isenabled())
+            return engine_run(engine)
+
+        monkeypatch.setattr(Engine, "run", run)
+        programs = lam_programs(topo, kib(64))
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                run_programs(topo, programs, kib(64), quiet_params)
+                assert gc.isenabled() is enabled
+            assert during == [False, False]
+            gc.enable()
+            programs["n0"] = Program("n0", [Op(OpKind.RECV, peer="n1", tag=9)])
+            with pytest.raises(SimulationError):
+                run_programs(topo, programs, kib(64), quiet_params)
+            assert gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestLinkUtilization:
